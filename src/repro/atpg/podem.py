@@ -11,31 +11,29 @@ The slice restriction is what keeps PODEM usable from pure Python: a
 bounded-depth die has slices of a few hundred gates regardless of die
 size.
 
-Two implication engines implement the identical search:
+Implication is incremental. Both machines live in persistent per-net
+value arrays (X outside the active slice); a decision re-evaluates only
+the gates its primary input can reach, in topological order, and every
+overwrite goes on an undo trail, so backtracking restores the arrays by
+replaying the trail back to the decision's mark. Each slice also keeps
+a snapshot of its decision-free state per injected polarity, replayed
+instead of re-evaluating the slice on every search. The engine is plain
+Python lists — it is the same code on every kernel backend.
 
-* the **reference** engine — from-scratch 3-valued simulation of the
-  whole slice per implication (dict-based, the original code path);
-* the **incremental** engine — persistent per-net value arrays, an
-  undo trail per decision, and event-driven re-evaluation of only the
-  gates a primary-input change can reach. Selected by the ``numpy``
-  kernel backend (:mod:`repro.runtime.backend`); it carries the ATPG
-  5x at bench scale. It holds no numpy state itself — implication is
-  scalar by nature — but it ships with the numpy backend so the
-  default backend stays byte-stable code.
-
-Both must return bit-identical :class:`PodemOutcome` values, including
-the backtrack count: every sub-result (implied values, D-frontier
-choice, SCOAP backtrace step) is a pure function of the current
-assignment, so replaying the same decisions yields the same search.
+Every sub-result (implied values, D-frontier choice, SCOAP backtrace
+step) is a pure function of the current assignment, so the search —
+including its backtrack count — is deterministic and independent of
+the order in which faults are attempted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
-from repro.atpg.faults import Fault, FaultKind, Polarity
+from repro.atpg.faults import Fault, FaultKind
 from repro.atpg.sim import CompiledCircuit
 from repro.util.errors import AtpgError
 
@@ -108,7 +106,7 @@ def _eval3(op_name: str, vals: Sequence[int]) -> int:
     raise AtpgError(f"no 3-valued model for {op_name}")
 
 
-# Small-int op codes for the incremental engine: string dispatch is the
+# Small-int op codes for the implication engine: string dispatch is the
 # single biggest cost of `_eval3` in the implication loop.
 _C_BUF, _C_INV, _C_AND, _C_NAND, _C_OR, _C_NOR = 0, 1, 2, 3, 4, 5
 _C_XOR, _C_XNOR, _C_MUX2, _C_AOI21, _C_OAI21 = 6, 7, 8, 9, 10
@@ -175,8 +173,8 @@ def _eval3_code(code: int, vals: Sequence[int]) -> int:
 
 def _eval3_arr(code: int, ins: Sequence[int], values: List[int]) -> int:
     """:func:`_eval3_code` reading operands straight from a per-net
-    value array — the incremental engine's hot path allocates no
-    intermediate operand list."""
+    value array — the implication hot path allocates no intermediate
+    operand list."""
     if code == _C_AND or code == _C_NAND:
         out = 1
         for n in ins:
@@ -253,30 +251,14 @@ def _eval3_arr(code: int, ins: Sequence[int], values: List[int]) -> int:
     return _eval3_code(code, [values[n] for n in ins])
 
 
-class _ArrayView:
-    """Adapter exposing a value array through the ``gv.get(nid, X)``
-    protocol `_backtrace` speaks, so both engines share the exact SCOAP
-    backtrace code. Every net the backtrace can reach is defined in the
-    array (unset entries hold X), matching the dict default."""
+class _Slice:
+    """Flat per-slice structures for the implication engine."""
 
-    __slots__ = ("data",)
-
-    def __init__(self, data: List[int]) -> None:
-        self.data = data
-
-    def get(self, nid: int, default: int = X) -> int:
-        return self.data[nid]
-
-
-class _FastSlice:
-    """Per-fault-slice structures for the incremental engine."""
-
-    __slots__ = ("supported", "observable", "slice_gates", "gates",
-                 "sources", "cone", "check_nets", "branch_gate",
-                 "branch_pos", "site_is_source", "base", "base_nids")
+    __slots__ = ("observable", "slice_gates", "gates", "sources", "cone",
+                 "check_nets", "branch_gate", "branch_pos",
+                 "site_is_source", "base", "base_nids")
 
     def __init__(self) -> None:
-        self.supported = True
         self.observable = False
         self.slice_gates: List[int] = []
         #: (gi, code, out, ins) in slice (topological) order
@@ -300,18 +282,21 @@ class _FastSlice:
         self.base_nids: List[int] = []
 
 
+#: how a search injects its fault: (faulted source net, stuck value,
+#: branch gate, branch pin, faulted gate-output net); at most one of
+#: the three sites is set
+_Injection = Tuple[Optional[int], int, Optional[int], Optional[int],
+                   Optional[int]]
+_FAULT_FREE: _Injection = (None, 0, None, None, None)
+
+#: decision-function result meaning "the goal is met"
+_DONE = (-1, -1)
+
 #: preferred side-input value that does NOT force the gate's output
 _NONCONTROLLING = {
     "and": 1, "nand": 1, "or": 0, "nor": 0,
     "xor": 0, "xnor": 0, "buf": 1, "inv": 1,
     "mux2": 0, "aoi21": 0, "oai21": 1,
-}
-
-#: whether the path through the gate inverts (backtrace parity)
-_INVERTING = {
-    "and": False, "nand": True, "or": False, "nor": True,
-    "xor": False, "xnor": True, "buf": False, "inv": True,
-    "mux2": False, "aoi21": True, "oai21": True,
 }
 
 
@@ -329,36 +314,26 @@ class PodemGenerator:
     """PODEM bound to one compiled circuit."""
 
     def __init__(self, circuit: CompiledCircuit,
-                 backtrack_limit: int = 64,
-                 fast: Optional[bool] = None) -> None:
+                 backtrack_limit: int = 64) -> None:
         self.circuit = circuit
         self.backtrack_limit = backtrack_limit
         self._control: Set[int] = set(circuit.input_columns)
-        self._slice_cache: Dict[
-            Tuple[str, str, str], Tuple[List[int], bool, List[int]]] = {}
-        #: flat (op_name, out, ins) per gate — the 3-valued implication
-        #: loop reads these instead of walking the gate dataclass
+        #: flat (op_name, out, ins) per gate
         self._specs: List[Tuple[str, int, Tuple[int, ...]]] = [
             (g.op_name, g.out, g.ins) for g in circuit.gates
         ]
         self._cc0, self._cc1 = self._scoap()
-        if fast is None:
-            from repro.runtime.backend import use_numpy
-            fast = use_numpy()
-        self._fast = bool(fast)
-        self._fast_cache: Dict[Tuple[str, str, str], _FastSlice] = {}
-        self._justify_cache: Dict[int, Optional[_FastSlice]] = {}
-        # Incremental-engine state: persistent value arrays (X between
-        # searches), the undo trail of (net, old good, old faulty), and
-        # per-gate membership flags for the active slice / fault cone.
-        self._codes: List[Optional[int]] = [
-            _OP3_CODES.get(op) for op, _out, _ins in self._specs]
-        #: (code, out, ins) per gate, one lookup in the propagation loop
+        self._fault_slices: Dict[Tuple[str, str, str], _Slice] = {}
+        self._justify_slices: Dict[int, _Slice] = {}
+        #: (code, out, ins) per gate, one lookup in the propagation loop;
+        #: None codes have no 3-valued model and fail at slice build
         self._gspec: List[Tuple[Optional[int], int, Tuple[int, ...]]] = [
-            (code, out, ins) for code, (_op, out, ins)
-            in zip(self._codes, self._specs)]
-        self._gv_arr: Optional[List[int]] = None
-        self._fv_arr: Optional[List[int]] = None
+            (_OP3_CODES.get(op), out, ins) for op, out, ins in self._specs]
+        # Persistent value arrays (X between searches), the undo trail
+        # of (net, old good, old faulty), and per-gate membership flags
+        # for the active slice / fault cone.
+        self._gv: List[int] = [X] * circuit.n_nets
+        self._fv: List[int] = [X] * circuit.n_nets
         self._trail: List[Tuple[int, int, int]] = []
         self._inflag = bytearray(len(circuit.gates))
         self._conefl = bytearray(len(circuit.gates))
@@ -428,262 +403,217 @@ class PodemGenerator:
         return cc0, cc1
 
     # ------------------------------------------------------------------
-    def _slice_for(self, fault: Fault) -> Tuple[List[int], bool, List[int]]:
-        """Gate indices of the fault's slice (topo order), whether any
-        observation net is reachable, and the fan-out cone's gates."""
-        key = (fault.net, fault.owner, fault.pin)
-        cached = self._slice_cache.get(key)
-        if cached is not None:
-            return cached
-
-        circuit = self.circuit
-        site_net = circuit.net_ids[fault.net]
-
-        # Forward cone.
-        cone_gates: Set[int] = set()
-        frontier = [site_net]
-        seen_nets = {site_net}
-        observes_reachable = site_net in circuit.observed
-        if fault.kind is FaultKind.BRANCH:
-            # Only the one sink gate sees the fault initially.
-            start_gates = [g for g in circuit.gate_users[site_net]
-                           if circuit.gates[g].name == fault.owner]
-        else:
-            start_gates = list(circuit.gate_users[site_net])
-        work = list(start_gates)
-        while work:
-            gi = work.pop()
-            if gi in cone_gates:
-                continue
-            cone_gates.add(gi)
-            out = self.circuit.gates[gi].out
-            if out in circuit.observed:
-                observes_reachable = True
-            if out not in seen_nets:
-                seen_nets.add(out)
-                work.extend(circuit.gate_users[out])
-
-        # Fan-in closure (side inputs must be justifiable).
-        closure: Set[int] = set(cone_gates)
-        work = list(cone_gates)
-        # The site itself must be justifiable too.
-        driver = circuit.gate_of_net.get(site_net)
-        if driver is not None:
-            work.append(driver)
-            closure.add(driver)
-        while work:
-            gi = work.pop()
-            for nid in circuit.gates[gi].ins:
-                drv = circuit.gate_of_net.get(nid)
-                if drv is not None and drv not in closure:
-                    closure.add(drv)
-                    work.append(drv)
-
-        ordered = sorted(closure)
-        result = (ordered, observes_reachable, sorted(cone_gates))
-        self._slice_cache[key] = result
-        return result
-
-    # ------------------------------------------------------------------
     def run(self, fault: Fault) -> PodemOutcome:
         """Attempt to generate a test for *fault*."""
-        if self._fast:
-            fs = self._fast_slice(fault)
-            if fs.supported:
-                return self._run_fast(fault, fs)
-        return self._run_slow(fault)
-
-    def _run_slow(self, fault: Fault) -> PodemOutcome:
-        circuit = self.circuit
-        slice_gates, observable, _cone = self._slice_for(fault)
-        if not observable and fault.kind is not FaultKind.OBS_BRANCH:
+        fs = self._fault_slice(fault)
+        if not fs.observable and fault.kind is not FaultKind.OBS_BRANCH:
             return PodemOutcome("untestable", {}, 0)
-
-        site_net = circuit.net_ids[fault.net]
+        site_net = self.circuit.net_ids[fault.net]
         stuck = int(fault.polarity)
-
         if fault.kind is FaultKind.OBS_BRANCH:
             # Activation is detection: justify site = ¬stuck.
-            return self.justify(site_net, 1 - stuck, slice_gates)
-
-        branch_gate: Optional[int] = None
-        branch_pos: Optional[int] = None
+            return self._justify(fs, site_net, 1 - stuck)
+        branch_gate = branch_pos = None
         if fault.kind is FaultKind.BRANCH:
-            for gi in circuit.gate_users[site_net]:
-                gate = circuit.gates[gi]
-                if gate.name == fault.owner:
-                    branch_gate = gi
-                    positions = [k for k, nid in enumerate(gate.ins)
-                                 if nid == site_net]
-                    branch_pos = positions[0]
-                    break
-            if branch_gate is None:
+            if fs.branch_gate is None:
                 return PodemOutcome("untestable", {}, 0)
+            branch_gate, branch_pos = fs.branch_gate, fs.branch_pos
+        source_site = stem_out = None
+        if branch_gate is None:
+            if fs.site_is_source:
+                source_site = site_net
+            else:
+                stem_out = site_net
+        gv, fv = self._gv, self._fv
 
-        assignment: Dict[int, int] = {}
-        decisions: List[Tuple[int, int, bool]] = []  # (net, value, flipped)
-        backtracks = 0
-
-        while True:
-            gv, fv = self._imply(slice_gates, assignment, site_net, stuck,
-                                 branch_gate, branch_pos)
-            status = self._check(gv, fv, site_net, stuck)
-            if status == "detected":
-                return PodemOutcome("detected", dict(assignment), backtracks)
-
-            objective = None
-            if status != "conflict":
-                objective = self._objective(gv, fv, site_net, stuck,
-                                            slice_gates, branch_gate,
-                                            branch_pos)
+        def decide() -> Optional[Tuple[int, int]]:
+            site_g = gv[site_net]
+            if site_g == stuck:
+                return None  # can never be activated: backtrack
+            for nid in fs.check_nets:
+                a, b = gv[nid], fv[nid]
+                if a != X and b != X and a != b:
+                    return _DONE
+            objective = self._objective(fs, site_net, stuck, branch_gate,
+                                        branch_pos)
             if objective is None:
-                # Backtrack.
-                while decisions:
-                    net, value, flipped = decisions.pop()
-                    del assignment[net]
-                    if not flipped:
-                        backtracks += 1
-                        if backtracks > self.backtrack_limit:
-                            return PodemOutcome("aborted", {}, backtracks)
-                        decisions.append((net, 1 - value, True))
-                        assignment[net] = 1 - value
-                        break
-                else:
-                    return PodemOutcome("untestable", {}, backtracks)
-                continue
+                return None
+            return self._backtrace(*objective)
 
-            pi_net, pi_value = self._backtrace(objective[0], objective[1], gv)
-            if pi_net is None:
-                # No X-path to a control input: treat as conflict.
-                while decisions:
-                    net, value, flipped = decisions.pop()
-                    del assignment[net]
-                    if not flipped:
-                        backtracks += 1
-                        if backtracks > self.backtrack_limit:
-                            return PodemOutcome("aborted", {}, backtracks)
-                        decisions.append((net, 1 - value, True))
-                        assignment[net] = 1 - value
-                        break
-                else:
-                    return PodemOutcome("untestable", {}, backtracks)
-                continue
+        return self._search(fs, stuck, (source_site, stuck, branch_gate,
+                                        branch_pos, stem_out), decide)
 
-            decisions.append((pi_net, pi_value, False))
-            assignment[pi_net] = pi_value
+    def justify(self, net_id: int, value: int) -> PodemOutcome:
+        """Justification-only search over the fan-in closure of
+        *net_id*: make it take *value*. Used for transition-launch
+        conditions; OBS_BRANCH faults run the same search over their
+        fault slice."""
+        fs = self._justify_slices.get(net_id)
+        if fs is None:
+            driver = self.circuit.gate_of_net.get(net_id)
+            fs = self._build_slice(
+                self._fanin_closure(() if driver is None else (driver,)),
+                net_id)
+            self._justify_slices[net_id] = fs
+        return self._justify(fs, net_id, value)
+
+    def _justify(self, fs: _Slice, net_id: int, value: int
+                 ) -> PodemOutcome:
+        """Good-machine search over *fs* (the faulty array mirrors it)."""
+        gv = self._gv
+
+        def decide() -> Optional[Tuple[int, int]]:
+            current = gv[net_id]
+            if current == value:
+                return _DONE
+            if current != X:
+                return None  # conflict: backtrack
+            return self._backtrace(net_id, value)
+
+        return self._search(fs, None, _FAULT_FREE, decide)
 
     # ------------------------------------------------------------------
-    def justify(self, net_id: int, value: int,
-                slice_gates: Optional[List[int]] = None) -> PodemOutcome:
-        """Justification-only search: make *net_id* take *value*.
+    def _search(self, fs: _Slice, key: Optional[int],
+                inject: _Injection,
+                decide: Callable[[], Optional[Tuple[int, int]]]
+                ) -> PodemOutcome:
+        """The PODEM decision loop over one slice.
 
-        Used for OBS_BRANCH faults and transition-launch conditions.
+        *decide* inspects the implied values and returns ``_DONE``, the
+        next primary-input decision, or None to backtrack. *key* names
+        the slice's base-state snapshot (the injected polarity, or None
+        for the fault-free machine, which also leaves the fault cone
+        unflagged).
         """
-        if self._fast and slice_gates is None:
-            fs = self._justify_structures(net_id)
-            if fs is not None:
-                return self._justify_fast(net_id, value, fs)
-        return self._justify_slow(net_id, value, slice_gates)
-
-    def _justify_slow(self, net_id: int, value: int,
-                      slice_gates: Optional[List[int]] = None
-                      ) -> PodemOutcome:
-        circuit = self.circuit
-        if slice_gates is None:
-            # Fan-in closure of the net.
-            closure: Set[int] = set()
-            work = []
-            driver = circuit.gate_of_net.get(net_id)
-            if driver is not None:
-                work.append(driver)
-                closure.add(driver)
-            while work:
-                gi = work.pop()
-                for nid in circuit.gates[gi].ins:
-                    drv = circuit.gate_of_net.get(nid)
-                    if drv is not None and drv not in closure:
-                        closure.add(drv)
-                        work.append(drv)
-            slice_gates = sorted(closure)
-
+        gv, fv, trail = self._gv, self._fv, self._trail
+        flags, conefl = self._inflag, self._conefl
+        cone = fs.cone if key is not None else ()
+        for gi in fs.slice_gates:
+            flags[gi] = 1
+        for entry in cone:
+            conefl[entry[0]] = 1
         assignment: Dict[int, int] = {}
-        decisions: List[Tuple[int, int, bool]] = []
+        #: (net, value, flipped, trail mark before the push)
+        decisions: List[Tuple[int, int, bool, int]] = []
         backtracks = 0
-        while True:
-            gv, _fv = self._imply(slice_gates, assignment, None, 0, None, None)
-            if gv.get(net_id, X) == value:
-                return PodemOutcome("detected", dict(assignment), backtracks)
-            if gv.get(net_id, X) == 1 - value:
-                objective = None  # conflict
-            else:
-                objective = (net_id, value)
-
-            if objective is not None:
-                pi_net, pi_value = self._backtrace(objective[0], objective[1], gv)
-                if pi_net is not None:
-                    decisions.append((pi_net, pi_value, False))
-                    assignment[pi_net] = pi_value
+        try:
+            self._load_base(fs, key, inject)
+            while True:
+                decision = decide()
+                if decision is _DONE:
+                    return PodemOutcome("detected", dict(assignment),
+                                        backtracks)
+                if decision is not None:
+                    net, value = decision
+                    decisions.append((net, value, False, len(trail)))
+                    assignment[net] = value
+                    self._push(net, value, inject)
                     continue
+                # Backtrack to the newest unflipped decision and flip it.
+                while decisions:
+                    net, value, flipped, mark = decisions.pop()
+                    del assignment[net]
+                    self._undo_to(mark)
+                    if not flipped:
+                        backtracks += 1
+                        if backtracks > self.backtrack_limit:
+                            return PodemOutcome("aborted", {}, backtracks)
+                        decisions.append((net, 1 - value, True,
+                                          len(trail)))
+                        assignment[net] = 1 - value
+                        self._push(net, 1 - value, inject)
+                        break
+                else:
+                    return PodemOutcome("untestable", {}, backtracks)
+        finally:
+            self._undo_to(0)
+            for nid in fs.base_nids:
+                gv[nid] = X
+                fv[nid] = X
+            for gi in fs.slice_gates:
+                flags[gi] = 0
+            for entry in cone:
+                conefl[entry[0]] = 0
 
-            while decisions:
-                net, val, flipped = decisions.pop()
-                del assignment[net]
-                if not flipped:
-                    backtracks += 1
-                    if backtracks > self.backtrack_limit:
-                        return PodemOutcome("aborted", {}, backtracks)
-                    decisions.append((net, 1 - val, True))
-                    assignment[net] = 1 - val
-                    break
+    def _load_base(self, fs: _Slice, key: Optional[int],
+                   inject: _Injection) -> None:
+        """Write the decision-free state of both machines: replayed from
+        the slice's snapshot for *key*, computed by full slice
+        evaluation on first use. Base writes stay off the undo trail
+        (the search resets them), so decision trail marks are relative
+        to an empty trail."""
+        gv, fv = self._gv, self._fv
+        snapshot = fs.base.get(key)
+        if snapshot is not None:
+            for nid, g, f in snapshot:
+                gv[nid] = g
+                fv[nid] = f
+            return
+        source_site, stuck, branch_gate, branch_pos, stem_out = inject
+        conefl = self._conefl
+        for nid, value in fs.sources:
+            gv[nid] = value
+            fv[nid] = value
+        if source_site is not None:
+            fv[source_site] = stuck
+        for gi, code, out, ins in fs.gates:
+            g_out = _eval3_arr(code, ins, gv)
+            if conefl[gi]:
+                if gi == branch_gate:
+                    vals = [fv[n] for n in ins]
+                    vals[branch_pos] = stuck
+                    f_out = _eval3_code(code, vals)
+                else:
+                    f_out = _eval3_arr(code, ins, fv)
+            elif out == stem_out:
+                f_out = stuck
             else:
-                return PodemOutcome("untestable", {}, backtracks)
-
-    # ------------------------------------------------------------------
-    # Incremental implication engine (numpy-backend ATPG kernel).
-    #
-    # Equivalence with `_imply`/`_check`/`_objective` rests on three
-    # facts: (1) implied values are a pure function of the assignment,
-    # and heap-ordered event propagation over the topologically sorted
-    # gate list reproduces the from-scratch evaluation exactly; (2) the
-    # faulty machine can differ from the good machine only on the fault
-    # site and the fan-out cone's outputs, so the detection scan and
-    # the D-frontier scan may be restricted to those nets/gates; (3)
-    # `_imply`'s lazily-built dicts define exactly the slice's source
-    # and output nets, and every net the search reads is in that set,
-    # so arrays holding X elsewhere see the same values as the dicts.
-    # ------------------------------------------------------------------
-    def _ensure_arrays(self) -> None:
-        if self._gv_arr is None:
-            self._gv_arr = [X] * self.circuit.n_nets
-            self._fv_arr = [X] * self.circuit.n_nets
+                f_out = g_out
+            gv[out] = g_out
+            fv[out] = f_out
+        fs.base[key] = [(nid, gv[nid], fv[nid]) for nid in fs.base_nids]
 
     def _undo_to(self, mark: int) -> None:
         trail = self._trail
         if len(trail) <= mark:
             return
-        gv, fv = self._gv_arr, self._fv_arr
+        gv, fv = self._gv, self._fv
         for nid, old_g, old_f in reversed(trail[mark:]):
             gv[nid] = old_g
             fv[nid] = old_f
         del trail[mark:]
 
-    def _build_structures(self, slice_gates: List[int],
-                          extra_source: Optional[int]) -> _FastSlice:
-        """Flat per-slice arrays for the incremental engine (marked
-        unsupported when a gate has no small-int 3-valued model)."""
+    # ------------------------------------------------------------------
+    def _fanin_closure(self, seeds: Iterable[int]) -> List[int]:
+        """*seeds* plus every gate driving them, in topological order."""
+        gate_of_net = self.circuit.gate_of_net
+        gates = self.circuit.gates
+        closure: Set[int] = set(seeds)
+        work = list(closure)
+        while work:
+            gi = work.pop()
+            for nid in gates[gi].ins:
+                drv = gate_of_net.get(nid)
+                if drv is not None and drv not in closure:
+                    closure.add(drv)
+                    work.append(drv)
+        return sorted(closure)
+
+    def _build_slice(self, slice_gates: List[int],
+                     extra_source: int) -> _Slice:
+        """Flat structures for the gates of one slice; raises
+        :class:`AtpgError` when a gate has no 3-valued model."""
         circuit = self.circuit
-        specs = self._specs
-        codes = self._codes
-        fs = _FastSlice()
+        gspec = self._gspec
+        fs = _Slice()
         fs.slice_gates = slice_gates
         outs: Set[int] = set()
         gates = fs.gates
         for gi in slice_gates:
-            code = codes[gi]
+            code, out, ins = gspec[gi]
             if code is None:
-                fs.supported = False
-                return fs
-            _op, out, ins = specs[gi]
+                raise AtpgError(
+                    f"no 3-valued model for {self._specs[gi][0]}")
             gates.append((gi, code, out, ins))
             outs.add(out)
         source_nets: Set[int] = set()
@@ -691,11 +621,10 @@ class PodemGenerator:
             for nid in ins:
                 if nid not in outs:
                     source_nets.add(nid)
-        if extra_source is not None and extra_source not in outs:
+        if extra_source not in outs:
             source_nets.add(extra_source)
         constants = circuit.constant_nets
         x_nets = circuit.x_net_ids
-        fs.sources = []
         for nid in sorted(source_nets):
             const = constants.get(nid)
             if const is not None:
@@ -709,63 +638,67 @@ class PodemGenerator:
         fs.base_nids.extend(entry[2] for entry in gates)
         return fs
 
-    def _fast_slice(self, fault: Fault) -> _FastSlice:
+    def _fault_slice(self, fault: Fault) -> _Slice:
+        """The fault's slice: the fan-in closure of its fan-out cone
+        (and of the site itself), plus the cone's D-frontier data."""
         key = (fault.net, fault.owner, fault.pin)
-        fs = self._fast_cache.get(key)
+        fs = self._fault_slices.get(key)
         if fs is not None:
             return fs
         circuit = self.circuit
-        slice_gates, observable, cone = self._slice_for(fault)
         site_net = circuit.net_ids[fault.net]
-        fs = self._build_structures(slice_gates, site_net)
-        fs.observable = observable
-        if fs.supported:
-            specs = self._specs
-            fs.cone = [(gi, specs[gi][0], specs[gi][1], specs[gi][2])
-                       for gi in cone]
-            diff_nets = {entry[2] for entry in fs.cone}
-            diff_nets.add(site_net)
-            fs.check_nets = tuple(sorted(diff_nets & circuit.observed))
-            fs.site_is_source = circuit.gate_of_net.get(site_net) is None
-            if fault.kind is FaultKind.BRANCH:
-                for gi in circuit.gate_users[site_net]:
-                    gate = circuit.gates[gi]
-                    if gate.name == fault.owner:
-                        fs.branch_gate = gi
-                        fs.branch_pos = [
-                            k for k, nid in enumerate(gate.ins)
-                            if nid == site_net][0]
-                        break
-        self._fast_cache[key] = fs
-        return fs
 
-    def _justify_structures(self, net_id: int) -> Optional[_FastSlice]:
-        """Fan-in-closure structures for a bare justification target
-        (None when the closure has an unsupported gate)."""
-        if net_id in self._justify_cache:
-            return self._justify_cache[net_id]
-        circuit = self.circuit
-        closure: Set[int] = set()
-        work = []
-        driver = circuit.gate_of_net.get(net_id)
-        if driver is not None:
-            work.append(driver)
-            closure.add(driver)
+        # Forward cone.
+        cone_gates: Set[int] = set()
+        seen_nets = {site_net}
+        observes_reachable = site_net in circuit.observed
+        if fault.kind is FaultKind.BRANCH:
+            # Only the one sink gate sees the fault initially.
+            work = [g for g in circuit.gate_users[site_net]
+                    if circuit.gates[g].name == fault.owner]
+        else:
+            work = list(circuit.gate_users[site_net])
         while work:
             gi = work.pop()
-            for nid in circuit.gates[gi].ins:
-                drv = circuit.gate_of_net.get(nid)
-                if drv is not None and drv not in closure:
-                    closure.add(drv)
-                    work.append(drv)
-        fs = self._build_structures(sorted(closure), net_id)
-        result = fs if fs.supported else None
-        self._justify_cache[net_id] = result
-        return result
+            if gi in cone_gates:
+                continue
+            cone_gates.add(gi)
+            out = circuit.gates[gi].out
+            if out in circuit.observed:
+                observes_reachable = True
+            if out not in seen_nets:
+                seen_nets.add(out)
+                work.extend(circuit.gate_users[out])
 
-    def _propagate_arr(self, net: int, branch_gate: Optional[int],
-                       branch_pos: Optional[int], stuck: int,
-                       stem_out: Optional[int]) -> None:
+        # Fan-in closure: side inputs and the site itself must be
+        # justifiable.
+        seeds = set(cone_gates)
+        driver = circuit.gate_of_net.get(site_net)
+        if driver is not None:
+            seeds.add(driver)
+        fs = self._build_slice(self._fanin_closure(seeds), site_net)
+        fs.observable = observes_reachable
+        specs = self._specs
+        fs.cone = [(gi, specs[gi][0], specs[gi][1], specs[gi][2])
+                   for gi in sorted(cone_gates)]
+        diff_nets = {entry[2] for entry in fs.cone}
+        diff_nets.add(site_net)
+        fs.check_nets = tuple(sorted(diff_nets & circuit.observed))
+        fs.site_is_source = driver is None
+        if fault.kind is FaultKind.BRANCH:
+            for gi in circuit.gate_users[site_net]:
+                gate = circuit.gates[gi]
+                if gate.name == fault.owner:
+                    fs.branch_gate = gi
+                    fs.branch_pos = gate.ins.index(site_net)
+                    break
+        self._fault_slices[key] = fs
+        return fs
+
+    # ------------------------------------------------------------------
+    def _propagate(self, net: int, stuck: int, branch_gate: Optional[int],
+                   branch_pos: Optional[int],
+                   stem_out: Optional[int]) -> None:
         """Event-driven re-evaluation of both machines from one changed
         source net, recording every overwrite on the undo trail.
 
@@ -773,7 +706,7 @@ class PodemGenerator:
         machines, so the faulty machine is re-evaluated only for
         cone-flagged gates (and the stem driver's output is forced).
         """
-        gv, fv, trail = self._gv_arr, self._fv_arr, self._trail
+        gv, fv, trail = self._gv, self._fv, self._trail
         gspec = self._gspec
         gate_users = self.circuit.gate_users
         flags, conefl = self._inflag, self._conefl
@@ -847,51 +780,43 @@ class PodemGenerator:
                     queued_add(dep)
                     push(heap, dep)
 
-    def _push_arr(self, net: int, value: int,
-                  source_site: Optional[int], stuck: int,
-                  branch_gate: Optional[int], branch_pos: Optional[int],
-                  stem_out: Optional[int]) -> None:
+    def _push(self, net: int, value: int, inject: _Injection) -> None:
         """Apply one PI assignment and propagate its consequences."""
-        gv, fv = self._gv_arr, self._fv_arr
+        source_site, stuck, branch_gate, branch_pos, stem_out = inject
+        gv, fv = self._gv, self._fv
         self._trail.append((net, gv[net], fv[net]))
         gv[net] = value
         if net != source_site:  # a faulted source stays pinned in fv
             fv[net] = value
-        self._propagate_arr(net, branch_gate, branch_pos, stuck,
-                            stem_out)
+        self._propagate(net, stuck, branch_gate, branch_pos, stem_out)
 
-    def _check_arr(self, fs: _FastSlice, site_net: int,
-                   stuck: int) -> str:
-        gv, fv = self._gv_arr, self._fv_arr
-        site_g = gv[site_net]
-        if site_g == stuck:
-            return "conflict"  # can never be activated under assignment
-        for nid in fs.check_nets:
-            a, b = gv[nid], fv[nid]
-            if a != 2 and b != 2 and a != b:
-                return "detected"
-        return "open"
+    def _objective(self, fs: _Slice, site_net: int, stuck: int,
+                   branch_gate: Optional[int], branch_pos: Optional[int]
+                   ) -> Optional[Tuple[int, int]]:
+        """Activate the fault, else set an X side input of the first
+        D-frontier gate to its non-controlling value.
 
-    def _objective_arr(self, fs: _FastSlice, site_net: int, stuck: int,
-                       branch_gate: Optional[int],
-                       branch_pos: Optional[int]
-                       ) -> Optional[Tuple[int, int]]:
-        gv, fv = self._gv_arr, self._fv_arr
+        The D-frontier holds cone gates with a D/D̄ input whose output
+        is unresolved in at least one machine. For a branch fault the D̄
+        sits on the faulted *pin* of the branch gate, which net-level
+        values cannot show.
+        """
+        gv, fv = self._gv, self._fv
         site_g = gv[site_net]
-        if site_g == 2:
-            return (site_net, 1 - stuck)  # activate
+        if site_g == X:
+            return (site_net, 1 - stuck)
         for gi, op_name, out, ins in fs.cone:
-            if gv[out] != 2 and fv[out] != 2:
+            if gv[out] != X and fv[out] != X:
                 continue
             if gi == branch_gate:
-                has_d = site_g != 2 and site_g != stuck
+                has_d = site_g != stuck
             else:
                 has_d = False
                 for nid in ins:
                     a = gv[nid]
-                    if a != 2:
+                    if a != X:
                         b = fv[nid]
-                        if b != 2 and a != b:
+                        if b != X and a != b:
                             has_d = True
                             break
             if not has_d:
@@ -899,348 +824,44 @@ class PodemGenerator:
             for pos, nid in enumerate(ins):
                 if gi == branch_gate and pos == branch_pos:
                     continue  # the faulted pin is not a side input
-                if gv[nid] == 2:
+                if gv[nid] == X:
                     return (nid, _NONCONTROLLING[op_name])
         return None
 
-    def _run_fast(self, fault: Fault, fs: _FastSlice) -> PodemOutcome:
-        """Incremental-engine mirror of :meth:`_run_slow`."""
-        circuit = self.circuit
-        if not fs.observable and fault.kind is not FaultKind.OBS_BRANCH:
-            return PodemOutcome("untestable", {}, 0)
-        site_net = circuit.net_ids[fault.net]
-        stuck = int(fault.polarity)
-        if fault.kind is FaultKind.OBS_BRANCH:
-            # Activation is detection: justify site = ¬stuck.
-            return self._justify_fast(site_net, 1 - stuck, fs)
-        branch_gate = branch_pos = None
-        if fault.kind is FaultKind.BRANCH:
-            if fs.branch_gate is None:
-                return PodemOutcome("untestable", {}, 0)
-            branch_gate, branch_pos = fs.branch_gate, fs.branch_pos
-        source_site = stem_out = None
-        if branch_gate is None:
-            if fs.site_is_source:
-                source_site = site_net
-            else:
-                stem_out = site_net
-
-        self._ensure_arrays()
-        gv, fv, trail = self._gv_arr, self._fv_arr, self._trail
-        flags, conefl = self._inflag, self._conefl
-        for gi in fs.slice_gates:
-            flags[gi] = 1
-        for entry in fs.cone:
-            conefl[entry[0]] = 1
-        assignment: Dict[int, int] = {}
-        #: (net, value, flipped, trail mark before the push)
-        decisions: List[Tuple[int, int, bool, int]] = []
-        backtracks = 0
-        try:
-            # Decision-free base state: replayed from the per-polarity
-            # snapshot, computed by full slice evaluation on first use.
-            # Base writes stay off the undo trail (reset in `finally`),
-            # so decision trail marks are relative to an empty trail.
-            snapshot = fs.base.get(stuck)
-            if snapshot is not None:
-                for nid, g, f in snapshot:
-                    gv[nid] = g
-                    fv[nid] = f
-            else:
-                for nid, value in fs.sources:
-                    gv[nid] = value
-                    fv[nid] = value
-                if source_site is not None:
-                    fv[site_net] = stuck
-                for gi, code, out, ins in fs.gates:
-                    g_out = _eval3_arr(code, ins, gv)
-                    if conefl[gi]:
-                        if gi == branch_gate:
-                            vals = [fv[n] for n in ins]
-                            vals[branch_pos] = stuck
-                            f_out = _eval3_code(code, vals)
-                        else:
-                            f_out = _eval3_arr(code, ins, fv)
-                    elif out == stem_out:
-                        f_out = stuck
-                    else:
-                        f_out = g_out
-                    gv[out] = g_out
-                    fv[out] = f_out
-                fs.base[stuck] = [(nid, gv[nid], fv[nid])
-                                  for nid in fs.base_nids]
-
-            gv_view = _ArrayView(gv)
-            while True:
-                status = self._check_arr(fs, site_net, stuck)
-                if status == "detected":
-                    return PodemOutcome("detected", dict(assignment),
-                                        backtracks)
-                objective = None
-                if status != "conflict":
-                    objective = self._objective_arr(fs, site_net, stuck,
-                                                    branch_gate,
-                                                    branch_pos)
-                pi_net: Optional[int] = None
-                pi_value = 0
-                if objective is not None:
-                    pi_net, pi_value = self._backtrace(
-                        objective[0], objective[1], gv_view)
-                if pi_net is None:
-                    # Backtrack (covers both "no objective" and "no
-                    # X-path", exactly like the reference engine).
-                    while decisions:
-                        net, value, flipped, mark = decisions.pop()
-                        del assignment[net]
-                        self._undo_to(mark)
-                        if not flipped:
-                            backtracks += 1
-                            if backtracks > self.backtrack_limit:
-                                return PodemOutcome("aborted", {},
-                                                    backtracks)
-                            decisions.append((net, 1 - value, True,
-                                              len(trail)))
-                            assignment[net] = 1 - value
-                            self._push_arr(net, 1 - value,
-                                           source_site, stuck,
-                                           branch_gate, branch_pos,
-                                           stem_out)
-                            break
-                    else:
-                        return PodemOutcome("untestable", {}, backtracks)
-                    continue
-
-                decisions.append((pi_net, pi_value, False, len(trail)))
-                assignment[pi_net] = pi_value
-                self._push_arr(pi_net, pi_value, source_site, stuck,
-                               branch_gate, branch_pos, stem_out)
-        finally:
-            self._undo_to(0)
-            for nid in fs.base_nids:
-                gv[nid] = X
-                fv[nid] = X
-            for gi in fs.slice_gates:
-                flags[gi] = 0
-            for entry in fs.cone:
-                conefl[entry[0]] = 0
-
-    def _justify_fast(self, net_id: int, value: int,
-                      fs: _FastSlice) -> PodemOutcome:
-        """Incremental-engine mirror of :meth:`_justify_slow` (good
-        machine only; the faulty array simply mirrors it)."""
-        self._ensure_arrays()
-        gv, fv, trail = self._gv_arr, self._fv_arr, self._trail
-        flags = self._inflag
-        for gi in fs.slice_gates:
-            flags[gi] = 1
-        assignment: Dict[int, int] = {}
-        decisions: List[Tuple[int, int, bool, int]] = []
-        backtracks = 0
-        try:
-            snapshot = fs.base.get(None)
-            if snapshot is not None:
-                for nid, g, f in snapshot:
-                    gv[nid] = g
-                    fv[nid] = f
-            else:
-                for nid, source_value in fs.sources:
-                    gv[nid] = source_value
-                    fv[nid] = source_value
-                for _gi, code, out, ins in fs.gates:
-                    g_out = _eval3_arr(code, ins, gv)
-                    gv[out] = g_out
-                    fv[out] = g_out
-                fs.base[None] = [(nid, gv[nid], fv[nid])
-                                 for nid in fs.base_nids]
-
-            gv_view = _ArrayView(gv)
-            while True:
-                current = gv[net_id]
-                if current == value:
-                    return PodemOutcome("detected", dict(assignment),
-                                        backtracks)
-                pi_net: Optional[int] = None
-                pi_value = 0
-                if current != 1 - value:  # else conflict: backtrack
-                    pi_net, pi_value = self._backtrace(net_id, value,
-                                                       gv_view)
-                if pi_net is not None:
-                    decisions.append((pi_net, pi_value, False,
-                                      len(trail)))
-                    assignment[pi_net] = pi_value
-                    self._push_arr(pi_net, pi_value, None, 0, None,
-                                   None, None)
-                    continue
-
-                while decisions:
-                    net, val, flipped, mark = decisions.pop()
-                    del assignment[net]
-                    self._undo_to(mark)
-                    if not flipped:
-                        backtracks += 1
-                        if backtracks > self.backtrack_limit:
-                            return PodemOutcome("aborted", {},
-                                                backtracks)
-                        decisions.append((net, 1 - val, True,
-                                          len(trail)))
-                        assignment[net] = 1 - val
-                        self._push_arr(net, 1 - val, None, 0, None,
-                                       None, None)
-                        break
-                else:
-                    return PodemOutcome("untestable", {}, backtracks)
-        finally:
-            self._undo_to(0)
-            for nid in fs.base_nids:
-                gv[nid] = X
-                fv[nid] = X
-            for gi in fs.slice_gates:
-                flags[gi] = 0
-
-    # ------------------------------------------------------------------
-    def _imply(self, slice_gates: List[int], assignment: Dict[int, int],
-               site_net: Optional[int], stuck: int,
-               branch_gate: Optional[int], branch_pos: Optional[int]
-               ) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """3-valued forward simulation of good (gv) and faulty (fv)
-        machines over the slice."""
-        circuit = self.circuit
-        gv: Dict[int, int] = {}
-        fv: Dict[int, int] = {}
-
-        def source_value(nid: int) -> int:
-            if nid in assignment:
-                return assignment[nid]
-            const = circuit.constant_nets.get(nid)
-            if const is not None:
-                return const
-            if nid in circuit.x_net_ids:
-                return 0  # tied, consistent with packed simulation
-            if nid in self._control:
-                return X
-            return X
-
-        def get(machine: Dict[int, int], nid: int) -> int:
-            if nid in machine:
-                return machine[nid]
-            value = source_value(nid)
-            machine[nid] = value
-            return value
-
-        # A stem fault on a source net (FF Q, PI) must be injected before
-        # any gate reads it; a stem on a gate output is injected right
-        # after that gate evaluates (inside the loop).
-        if site_net is not None and branch_gate is None \
-                and circuit.gate_of_net.get(site_net) is None:
-            get(gv, site_net)
-            fv[site_net] = stuck
-
-        specs = self._specs
-        for gi in slice_gates:
-            op_name, out, ins = specs[gi]
-            g_ins = [get(gv, nid) for nid in ins]
-            gv[out] = _eval3(op_name, g_ins)
-
-            if branch_gate is not None and gi == branch_gate:
-                f_ins = [get(fv, nid) for nid in ins]
-                f_ins[branch_pos] = stuck
-                fv[out] = _eval3(op_name, f_ins)
-            else:
-                f_ins = [get(fv, nid) for nid in ins]
-                fv[out] = _eval3(op_name, f_ins)
-            if site_net is not None and branch_gate is None \
-                    and out == site_net:
-                fv[site_net] = stuck
-
-        return gv, fv
-
-    # ------------------------------------------------------------------
-    def _check(self, gv: Dict[int, int], fv: Dict[int, int],
-               site_net: int, stuck: int) -> str:
-        """'detected', 'conflict' or 'open'."""
-        site_g = gv.get(site_net, X)
-        if site_g == stuck:
-            return "conflict"  # can never be activated under assignment
-        for nid in self.circuit.observed:
-            a, b = gv.get(nid, X), fv.get(nid, X)
-            if a != X and b != X and a != b:
-                return "detected"
-        return "open"
-
-    def _objective(self, gv: Dict[int, int], fv: Dict[int, int],
-                   site_net: int, stuck: int, slice_gates: List[int],
-                   branch_gate: Optional[int] = None,
-                   branch_pos: Optional[int] = None
+    def _backtrace(self, net_id: int, value: int
                    ) -> Optional[Tuple[int, int]]:
-        site_g = gv.get(site_net, X)
-        if site_g == X:
-            return (site_net, 1 - stuck)  # activate
-
-        # D-frontier: gate with a D/D̄ input whose output is not yet
-        # resolved in at least one machine (composite value unknown).
-        # For a branch fault the D̄ sits on the faulted *pin* of the
-        # branch gate, which net-level values cannot show.
-        specs = self._specs
-        for gi in slice_gates:
-            op_name, out, ins = specs[gi]
-            if gv.get(out, X) != X and fv.get(out, X) != X:
-                continue
-            if branch_gate is not None and gi == branch_gate:
-                has_d = site_g != X and site_g != stuck
-            else:
-                has_d = any(
-                    gv.get(nid, X) != X and fv.get(nid, X) != X
-                    and gv.get(nid) != fv.get(nid)
-                    for nid in ins
-                )
-            if not has_d:
-                continue
-            for pos, nid in enumerate(ins):
-                if branch_gate is not None and gi == branch_gate                         and pos == branch_pos:
-                    continue  # the faulted pin is not a side input
-                if gv.get(nid, X) == X:
-                    return (nid, _NONCONTROLLING[op_name])
-        return None
-
-    def _backtrace(self, net_id: int, value: int,
-                   gv: Dict[int, int]) -> Tuple[Optional[int], int]:
-        """Walk an X-path from the objective back to a control net.
+        """Walk an X-path from the objective back to a control net;
+        None when no X-path exists.
 
         Uses SCOAP guidance: "any input suffices" objectives descend
         into the cheapest X input, "all inputs required" objectives
         into the hardest one — the textbook backtrace policy.
         """
-        circuit = self.circuit
         control = self._control
-        gate_of_net = circuit.gate_of_net.get
-        gates = circuit.gates
-        # Direct list indexing on the incremental engine's value array;
-        # dict access (with an X default for unset nets) otherwise.
-        data = gv.data if type(gv) is _ArrayView else None
+        gate_of_net = self.circuit.gate_of_net.get
+        gates = self.circuit.gates
+        gv = self._gv
         current, target = net_id, value
         for _ in range(100000):  # cycle-free by construction
             if current in control:
                 return current, target
             driver = gate_of_net(current)
             if driver is None:
-                return None, 0  # constant / X-tie: cannot justify
+                return None  # constant / X-tie: cannot justify
             gate = gates[driver]
-            if data is not None:
-                x_inputs = [nid for nid in gate.ins if data[nid] == X]
-            else:
-                x_inputs = [nid for nid in gate.ins
-                            if gv.get(nid, X) == X]
+            x_inputs = [nid for nid in gate.ins if gv[nid] == X]
             if not x_inputs:
-                return None, 0
-            step = self._backtrace_step(gate, target, x_inputs, gv)
+                return None
+            step = self._backtrace_step(gate, target, x_inputs)
             if step is None:
-                return None, 0
+                return None
             current, target = step
-        return None, 0
+        return None
 
-    def _backtrace_step(self, gate, target: int, x_inputs: List[int],
-                        gv: Dict[int, int]) -> Optional[Tuple[int, int]]:
+    def _backtrace_step(self, gate, target: int, x_inputs: List[int]
+                        ) -> Optional[Tuple[int, int]]:
         cc0, cc1 = self._cc0, self._cc1
+        gv = self._gv
         op = gate.op_name
 
         def easiest(value: int) -> int:
@@ -1267,7 +888,7 @@ class PodemGenerator:
         if op in ("xor", "xnor"):
             parity = 0
             for nid in gate.ins:
-                v = gv.get(nid, X)
+                v = gv[nid]
                 if v != X and nid not in x_inputs:
                     parity ^= v
             want = target if op == "xor" else 1 - target
@@ -1276,7 +897,7 @@ class PodemGenerator:
             return (chosen, want ^ parity)
         if op == "mux2":
             a, b, s = gate.ins
-            a_v, b_v, s_v = gv.get(a, X), gv.get(b, X), gv.get(s, X)
+            a_v, b_v, s_v = gv[a], gv[b], gv[s]
             if s_v == 0 and a in x_inputs:
                 return (a, target)
             if s_v == 1 and b in x_inputs:
@@ -1328,3 +949,4 @@ class PodemGenerator:
                     return (nid, 0)
             return (b, 0) if b in x_inputs else None
         return (x_inputs[0], target)
+

@@ -30,7 +30,6 @@ from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import ReuseTimingModel
 from repro.netlist.core import PortKind
 from repro.runtime import instrument, trace
-from repro.runtime.backend import use_numpy
 
 
 #: Relative bucket offsets scanned around a node's bucket by the
@@ -277,10 +276,8 @@ def build_wcm_graph(problem: WcmProblem, kind: PortKind,
     check_distance = math.isfinite(d_th) and config.scenario.is_timed
 
     # ---- edge construction ----------------------------------------------
-    def consider(name_a: str, name_b: str, a_is_ff: bool,
-                 skip_distance: bool = False) -> None:
-        if check_distance and not skip_distance \
-                and model.distance_um(name_a, name_b) >= d_th:
+    def consider(name_a: str, name_b: str, a_is_ff: bool) -> None:
+        if check_distance and model.distance_um(name_a, name_b) >= d_th:
             outcome = _REJ_DISTANCE
         else:
             outcome = pair_outcome(problem, config, model, estimator,
@@ -326,83 +323,18 @@ def build_wcm_graph(problem: WcmProblem, kind: PortKind,
         # Spatial hash at cell size d_th: any pair with Manhattan
         # distance < d_th sits in the same or an adjacent bucket, so
         # the 3x3 neighbourhood is a sound candidate superset.
-        location_of = problem.location_of
-        candidates = _bucket_candidates(tsvs, location_of, d_th)
-
+        candidates = _bucket_candidates(tsvs, problem.location_of, d_th)
         candidate_pairs = 0
-        if not use_numpy():
-            for i, tsv_a in enumerate(tsvs):
-                for j in candidates(tsv_a):
-                    if j <= i:
-                        continue
-                    candidate_pairs += 1
-                    consider(tsv_a, tsvs[j], a_is_ff=False)
-            for ff in ffs:
-                for j in candidates(ff):
-                    candidate_pairs += 1
-                    consider(ff, tsvs[j], a_is_ff=True)
-        else:
-            # Numpy backend: all candidate distance checks run as one
-            # vectorized compare, then the survivors run the remaining
-            # checks in the same per-node ascending order — edges,
-            # statistics and estimator call order are byte-identical to
-            # the scalar sweep (same float64 Manhattan arithmetic, same
-            # `< d_th` predicate against the same coordinates).
-            import numpy as np
-
-            node_names: List[str] = []
-            node_ff: List[bool] = []
-            node_js: List[List[int]] = []
-            node_x: List[float] = []
-            node_y: List[float] = []
-            for i, tsv_a in enumerate(tsvs):
-                js = [j for j in candidates(tsv_a) if j > i]
-                if js:
-                    x, y = location_of(tsv_a)
-                    node_names.append(tsv_a)
-                    node_ff.append(False)
-                    node_js.append(js)
-                    node_x.append(x)
-                    node_y.append(y)
-                    candidate_pairs += len(js)
-            for ff in ffs:
-                js = candidates(ff)
-                if js:
-                    x, y = location_of(ff)
-                    node_names.append(ff)
-                    node_ff.append(True)
-                    node_js.append(js)
-                    node_x.append(x)
-                    node_y.append(y)
-                    candidate_pairs += len(js)
-
-            if candidate_pairs:
-                counts = np.array([len(js) for js in node_js],
-                                  dtype=np.intp)
-                flat_j = np.array([j for js in node_js for j in js],
-                                  dtype=np.intp)
-                tsv_x = np.array([location_of(t)[0] for t in tsvs],
-                                 dtype=np.float64)
-                tsv_y = np.array([location_of(t)[1] for t in tsvs],
-                                 dtype=np.float64)
-                ax = np.repeat(np.array(node_x, dtype=np.float64), counts)
-                ay = np.repeat(np.array(node_y, dtype=np.float64), counts)
-                dist = (np.abs(ax - tsv_x[flat_j])
-                        + np.abs(ay - tsv_y[flat_j]))
-                keep = (dist < d_th).tolist()
-                stats.rejected_distance += keep.count(False)
-                pos = 0
-                for name, js, a_is_ff in zip(node_names, node_js,
-                                             node_ff):
-                    for offset, j in enumerate(js):
-                        if keep[pos + offset]:
-                            consider(name, tsvs[j], a_is_ff,
-                                     skip_distance=True)
-                        elif pair_log is not None:
-                            # bulk-counted above; log for the replay
-                            pair_log[(name, tsvs[j], a_is_ff)] = \
-                                _REJ_DISTANCE
-                    pos += len(js)
+        for i, tsv_a in enumerate(tsvs):
+            for j in candidates(tsv_a):
+                if j <= i:
+                    continue
+                candidate_pairs += 1
+                consider(tsv_a, tsvs[j], a_is_ff=False)
+        for ff in ffs:
+            for j in candidates(ff):
+                candidate_pairs += 1
+                consider(ff, tsvs[j], a_is_ff=True)
         # Pairs outside the neighbourhood have distance >= d_th by
         # construction; charge them without visiting.
         stats.rejected_distance += total_pairs - candidate_pairs

@@ -12,9 +12,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional
 
-from repro.atpg.engine import _FaultDispatcher
+from repro.atpg.engine import AtpgConfig, _FaultDispatcher
 from repro.atpg.faults import build_fault_list
+from repro.atpg.podem import PodemGenerator
 from repro.atpg.sim import CompiledCircuit
+from repro.atpg.transition import build_transition_faults
 from repro.core.clique import CliquePartition, partition_cliques
 from repro.core.config import WcmConfig
 from repro.core.graph import WcmGraph, build_wcm_graph
@@ -41,6 +43,9 @@ _TSV_KINDS = (PortKind.TSV_INBOUND, PortKind.TSV_OUTBOUND)
 
 #: inputs at or below this simulate every pattern instead of sampling
 EXHAUSTIVE_INPUT_LIMIT = 10
+#: inputs at or below this let the PODEM check prove each `untestable`
+#: verdict over every input pattern
+PODEM_EXHAUSTIVE_LIMIT = 12
 _RANDOM_BLOCK_BITS = 64
 
 
@@ -180,6 +185,79 @@ def check_fault_detection(subject: Subject) -> List[str]:
             if len(out) > 6:
                 break
     return out
+
+
+def _cube_words(circuit: CompiledCircuit, cubes: List[Dict[int, int]]
+                ) -> tuple:
+    """(input_words, mask) holding two patterns per cube: pattern
+    ``2k`` fills cube *k*'s don't-cares with 0, pattern ``2k+1`` with
+    1."""
+    words = [0] * circuit.input_count
+    for k, cube in enumerate(cubes):
+        for j, nid in enumerate(circuit.input_columns):
+            bit = cube.get(nid)
+            if bit is None:
+                words[j] |= 0b10 << (2 * k)
+            elif bit:
+                words[j] |= 0b11 << (2 * k)
+    return words, (1 << (2 * len(cubes))) - 1
+
+
+def check_podem(subject: Subject) -> List[str]:
+    """PODEM verdicts vs forced re-simulation, for ``run`` over the
+    collapsed stuck-at universe and for the transition-launch
+    ``justify`` of every stem at both values: each ``detected`` cube
+    must do its job with its don't-cares filled all-0 and all-1, and
+    on views of at most :data:`PODEM_EXHAUSTIVE_LIMIT` inputs each
+    ``untestable`` verdict must hold for every input pattern."""
+    out: List[str] = []
+    circuit = subject.circuit
+    view = subject.view
+    generator = PodemGenerator(circuit, AtpgConfig().backtrack_limit)
+    faults = build_fault_list(view).faults
+    runs = [generator.run(fault) for fault in faults]
+    targets = [(fault.net, fault.initial_value)
+               for fault in build_transition_faults(view)]
+    justified = [generator.justify(circuit.net_ids[net], value)
+                 for net, value in targets]
+
+    def found(outcomes) -> List[int]:
+        return [i for i, o in enumerate(outcomes) if o.status == "detected"]
+
+    detected = found(runs)
+    launched = found(justified)
+    words, mask = _cube_words(
+        circuit, [runs[i].assignment for i in detected]
+        + [justified[i].assignment for i in launched])
+    good = oracle_simulate(view, words, mask)
+    for k, index in enumerate(detected):
+        want = 0b11 << (2 * k)
+        got = oracle_detect_word(view, faults[index], words, mask,
+                                 good=good) & want
+        if got != want:
+            out.append(f"podem: cube for {faults[index].describe()} "
+                       f"detects {got >> (2 * k):02b} (fill 1, fill 0)")
+    for k, index in enumerate(launched, start=len(detected)):
+        net, value = targets[index]
+        bits = (good[net] >> (2 * k)) & 0b11
+        if bits != (0b11 if value else 0):
+            out.append(f"podem: justify cube for {net}={value} yields "
+                       f"{bits:02b} (fill 1, fill 0)")
+
+    if circuit.input_count <= PODEM_EXHAUSTIVE_LIMIT:
+        words, mask = exhaustive_input_words(circuit.input_count)
+        good = oracle_simulate(view, words, mask)
+        for fault, outcome in zip(faults, runs):
+            if outcome.status == "untestable" and oracle_detect_word(
+                    view, fault, words, mask, good=good):
+                out.append(f"podem: {fault.describe()} reported "
+                           f"untestable but a pattern detects it")
+        for (net, value), outcome in zip(targets, justified):
+            if outcome.status == "untestable" \
+                    and good[net] != (0 if value else mask):
+                out.append(f"podem: {net}={value} reported unjustifiable "
+                           f"but a pattern sets it")
+    return out[:8]
 
 
 def check_sta(subject: Subject) -> List[str]:
@@ -633,6 +711,7 @@ def check_schedule(subject: Subject) -> List[str]:
 CHECKS: Dict[str, Callable[[Subject], List[str]]] = {
     "sim": check_simulation,
     "faults": check_fault_detection,
+    "podem": check_podem,
     "sta": check_sta,
     "sta-reuse": check_sta_reuse,
     "graph": check_graph,

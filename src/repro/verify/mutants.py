@@ -160,6 +160,28 @@ def _mutant_schedule_fill_longest() -> Iterator[None]:
         chains._fill_target = original
 
 
+@contextlib.contextmanager
+def _mutant_podem_stale_faulty() -> Iterator[None]:
+    """Backtracking restores only the good machine: the faulty values
+    of the abandoned decision linger, so later D-frontier and detection
+    tests read a machine no assignment produces."""
+    from repro.atpg import podem
+
+    original = podem.PodemGenerator._undo_to
+
+    def good_only(self, mark: int) -> None:
+        trail = self._trail
+        for nid, old_g, _old_f in reversed(trail[mark:]):
+            self._gv[nid] = old_g
+        del trail[mark:]
+
+    podem.PodemGenerator._undo_to = good_only
+    try:
+        yield
+    finally:
+        podem.PodemGenerator._undo_to = original
+
+
 #: name -> (description, contextmanager factory)
 MUTANTS: Dict[str, tuple] = {
     "sim-opcode-swap": ("op-tape compiles AND2 as OR2",
@@ -178,6 +200,8 @@ MUTANTS: Dict[str, tuple] = {
                               _mutant_schedule_pack_overlap),
     "schedule-fill-longest": ("designer fills the most loaded chain",
                               _mutant_schedule_fill_longest),
+    "podem-stale-faulty": ("PODEM backtracking leaves faulty values stale",
+                           _mutant_podem_stale_faulty),
 }
 
 

@@ -1,13 +1,19 @@
 """Tests for the PODEM generator (5-valued search, SCOAP, X-path)."""
 
+import itertools
+
 import pytest
 
 from repro.atpg.engine import _FaultDispatcher, _patterns_to_words
 from repro.atpg.faults import Fault, FaultKind, Polarity, build_fault_list
-from repro.atpg.podem import PodemGenerator, X, _eval3
+from repro.atpg import podem
+from repro.atpg.podem import (PodemGenerator, X, _OP3_CODES, _eval3,
+                              _eval3_arr, _eval3_code)
 from repro.atpg.sim import CompiledCircuit
 from repro.dft.testview import build_prebond_test_view
 from repro.netlist.builder import NetlistBuilder
+from repro.netlist.library import default_library
+from repro.util.errors import AtpgError
 
 
 class TestEval3:
@@ -35,6 +41,51 @@ class TestEval3:
         assert _eval3("aoi21", [0, X, 0]) == 1
         assert _eval3("oai21", [0, 0, X]) == 1
         assert _eval3("oai21", [X, 0, 1]) == X
+
+    def test_unknown_op_has_no_model(self):
+        with pytest.raises(AtpgError):
+            _eval3("frob", [0, 1])
+
+
+def _library_arities():
+    """(function, arity) of every combinational cell in the library."""
+    return sorted({(cell.function, len(cell.input_pins))
+                   for cell in default_library().cells.values()
+                   if cell.function != "dff"})
+
+
+class TestOpCodeTables:
+    def test_every_library_function_has_a_code(self):
+        assert {fn for fn, _arity in _library_arities()} == set(_OP3_CODES)
+        assert len(_OP3_CODES) == 11
+
+    @pytest.mark.parametrize("function,arity", _library_arities())
+    def test_code_tables_match_eval3_exhaustively(self, function, arity):
+        """Both small-int evaluators agree with the string-dispatched
+        reference on every input in {0, 1, X}^arity."""
+        code = _OP3_CODES[function]
+        for vals in itertools.product((0, 1, X), repeat=arity):
+            want = _eval3(function, vals)
+            assert _eval3_code(code, vals) == want, (function, vals)
+            # operands scattered through a larger value array
+            values = [X] * (2 * arity + 1)
+            ins = tuple(2 * k + 1 for k in range(arity))
+            for nid, value in zip(ins, vals):
+                values[nid] = value
+            assert _eval3_arr(code, ins, values) == want, (function, vals)
+
+    def test_op_without_model_fails_at_slice_build(self, monkeypatch):
+        view, netlist = redundant_view()
+        circuit = CompiledCircuit(view)
+        monkeypatch.delitem(podem._OP3_CODES, "and")
+        generator = PodemGenerator(circuit)
+        inner_net = netlist.instance("g_and").output_net()
+        fault = Fault(kind=FaultKind.STEM, polarity=Polarity.SA0,
+                      net=inner_net)
+        with pytest.raises(AtpgError, match="no 3-valued model for and"):
+            generator.run(fault)
+        with pytest.raises(AtpgError):
+            generator.justify(circuit.net_ids[inner_net], 1)
 
 
 def redundant_view():
@@ -103,6 +154,15 @@ class TestPodemVerdicts:
         assigned = {circuit.net_names[n]: v
                     for n, v in outcome.assignment.items()}
         assert assigned.get("x") == 1 and assigned.get("y") == 1
+
+    def test_justify_control_net_directly(self):
+        """A control net no gate of its (empty) fan-in closure reads is
+        justified by one decision on itself."""
+        view, _netlist = redundant_view()
+        circuit = CompiledCircuit(view)
+        x = circuit.net_ids["x"]
+        outcome = PodemGenerator(circuit).justify(x, 0)
+        assert (outcome.status, outcome.assignment) == ("detected", {x: 0})
 
 
 class TestPodemAgainstSimulator:

@@ -77,6 +77,7 @@ def test_checks_of_maps_divergence_prefixes():
     assert _checks_of(["sta[reuse after moving x]: bad"]) == ["sta-reuse"]
     assert _checks_of(["sta[test]: bad"]) == ["sta"]
     assert _checks_of(["fault OBS_BRANCH sa0"]) == ["faults"]
+    assert _checks_of(["podem: g1 s-a-0 reported untestable"]) == ["podem"]
     assert _checks_of(["meta[rotate90][TSV_INBOUND]: x"]) \
         == ["meta-isometry"]
     assert _checks_of(["build: TimingError: boom"]) == ["sim"]
@@ -164,6 +165,15 @@ def test_self_check_kills_cheap_mutants():
     assert all(r.killed for r in results), results
     assert all(r.iterations <= 8 for r in results)
     assert all(r.evidence for r in results)
+
+
+def test_self_check_kills_podem_mutant():
+    """Stale faulty values after a backtrack yield verdicts the
+    re-simulation oracle refutes."""
+    results = self_check(root_seed=0, budget=8, checks=["podem"],
+                         mutant_names=["podem-stale-faulty"])
+    assert results[0].killed, results
+    assert results[0].evidence.startswith("podem:")
 
 
 def test_self_check_mutants_do_not_leak():
