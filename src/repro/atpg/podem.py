@@ -18,7 +18,7 @@ overwrite goes on an undo trail, so backtracking restores the arrays by
 replaying the trail back to the decision's mark. Each slice also keeps
 a snapshot of its decision-free state per injected polarity, replayed
 instead of re-evaluating the slice on every search. The engine is plain
-Python lists — it is the same code on every kernel backend.
+Python lists.
 
 Every sub-result (implied values, D-frontier choice, SCOAP backtrace
 step) is a pure function of the current assignment, so the search —

@@ -160,30 +160,34 @@ class ScalingReport:
 def parse_gate_points(text: str) -> List[int]:
     """``"1e3:1e5"`` -> log-spaced decades [1000, 10000, 100000];
     ``"1e3:1e5:5"`` -> 5 log-spaced points; ``"1000,5000"`` -> listed
-    values."""
+    values. Every gate count must be a finite number >= 1."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (2, 3):
-            raise ReproError(f"bad gates range {text!r} "
-                             f"(want LO:HI or LO:HI:N)")
-        lo, hi = float(parts[0]), float(parts[1])
-        if lo <= 0 or hi < lo:
-            raise ReproError(f"bad gates range {text!r}")
-        n = int(parts[2]) if len(parts) == 3 \
-            else int(round(math.log10(hi / lo))) + 1
-        n = max(1, n)
-        if n == 1:
-            points = [lo]
-        else:
-            step = (math.log10(hi) - math.log10(lo)) / (n - 1)
-            points = [10 ** (math.log10(lo) + i * step) for i in range(n)]
-        out = sorted({max(1, int(round(p))) for p in points})
-        return out
+    if ":" not in text:
+        try:
+            values = [float(p) for p in text.split(",") if p]
+        except ValueError:
+            raise ReproError(f"bad gates list {text!r}") from None
+        if not values or not all(1 <= v < math.inf for v in values):
+            raise ReproError(f"bad gates list {text!r} "
+                             f"(want gate counts >= 1)")
+        return sorted({int(v) for v in values})
+    bad_range = ReproError(f"bad gates range {text!r} (want LO:HI or "
+                           f"LO:HI:N with 1 <= LO <= HI and N >= 1)")
+    parts = text.split(":")
     try:
-        return sorted({max(1, int(float(p))) for p in text.split(",") if p})
-    except ValueError:
-        raise ReproError(f"bad gates list {text!r}") from None
+        lo, hi = float(parts[0]), float(parts[1])
+        n = (int(parts[2]) if len(parts) == 3
+             else int(round(math.log10(hi / lo))) + 1)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise bad_range from None
+    if len(parts) > 3 or not 1 <= lo <= hi < math.inf or n < 1:
+        raise bad_range
+    if n == 1:
+        points = [lo]
+    else:
+        step = (math.log10(hi) - math.log10(lo)) / (n - 1)
+        points = [10 ** (math.log10(lo) + i * step) for i in range(n)]
+    return sorted({int(round(p)) for p in points})
 
 
 def _fold(words: Sequence[int]) -> int:

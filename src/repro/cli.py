@@ -60,12 +60,11 @@ Runtime flags (valid before or after the subcommand):
 * ``--trace-dir PATH`` — stream a structured JSONL event trail (spans,
   metrics) to PATH and write a fingerprinted run manifest per driver
   (``$REPRO_TRACE_DIR`` is the env equivalent).
-* ``--backend python|numpy`` — kernel implementation set
-  (``$REPRO_BACKEND`` is the env equivalent). Byte-identical results;
-  ``numpy`` vectorizes the fault-simulation, STA and graph kernels.
 
 Exit status: 0 when every cell succeeded, 1 when a table rendered with
-failed cells excluded, 2 when a strict sweep aborted.
+failed cells excluded, 2 when a strict sweep aborted or the input was
+bad (an unknown circuit, a missing or unreadable file, a malformed
+value): one ``repro: error: ...`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import scale_banner
 from repro.runtime import configure
-from repro.util.errors import (ConfigError, NetlistError,
+from repro.util.errors import (ConfigError, NetlistError, ReproError,
                                RuntimeExecutionError)
 
 _DRIVERS: Dict[str, Callable] = {
@@ -271,10 +270,6 @@ def _common_options() -> argparse.ArgumentParser:
                         metavar="PATH",
                         help="stream structured trace events and run "
                              "manifests to PATH")
-    common.add_argument("--backend", choices=("python", "numpy"),
-                        default=argparse.SUPPRESS,
-                        help="kernel implementation set (default "
-                             "python; results are byte-identical)")
     return common
 
 
@@ -288,14 +283,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.self_check:
         mutants = ([m for m in args.mutants.split(",") if m]
                    if args.mutants else None)
-        try:
-            results = self_check(root_seed=seed,
-                                 budget=args.budget or 150,
-                                 checks=checks,
-                                 mutant_names=mutants)
-        except ValueError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
+        results = self_check(root_seed=seed,
+                             budget=args.budget or 150,
+                             checks=checks,
+                             mutant_names=mutants)
         print(render_results(results))
         survivors = [r for r in results if not r.killed]
         killed = len(results) - len(survivors)
@@ -310,17 +301,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"self-check passed: {killed}/{killed} mutants killed")
         return 0
 
-    try:
-        report = run_fuzz(root_seed=seed,
-                          budget=args.budget,
-                          seconds=args.seconds,
-                          checks=checks,
-                          jobs=getattr(args, "jobs", None),
-                          shrink_failures=not args.no_shrink,
-                          repro_dir=args.repro_dir)
-    except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
+    report = run_fuzz(root_seed=seed,
+                      budget=args.budget,
+                      seconds=args.seconds,
+                      checks=checks,
+                      jobs=getattr(args, "jobs", None),
+                      shrink_failures=not args.no_shrink,
+                      repro_dir=args.repro_dir)
     print(report.render())
     return 0 if report.clean else 1
 
@@ -329,28 +316,22 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     """Scaling-law sweep: where each kernel's complexity bends."""
     from repro.bench.scaling import (ScalingCaps, parse_gate_points,
                                      run_scaling, write_scaling_json)
-    from repro.util.errors import ReproError
 
     families = [f for f in args.families.split(",") if f]
-    try:
-        gate_points = parse_gate_points(args.gates)
-        densities = [float(d) for d in args.tsv_density.split(",") if d]
-        caps = ScalingCaps()
-        if args.sta_cap is not None:
-            caps = dataclasses.replace(
-                caps, prep=args.sta_cap if args.sta_cap > 0 else None)
-        if args.flow_cap is not None:
-            caps = dataclasses.replace(
-                caps, flow=args.flow_cap if args.flow_cap > 0 else None)
-        report = run_scaling(
-            families, gate_points, densities or (40.0,),
-            seed=getattr(args, "seed", 2019) or 2019,
-            repeat=args.repeat, caps=caps,
-            progress=(print if getattr(args, "verbose", False)
-                      else None))
-    except (ReproError, ValueError) as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
+    gate_points = parse_gate_points(args.gates)
+    densities = [float(d) for d in args.tsv_density.split(",") if d]
+    caps = ScalingCaps()
+    if args.sta_cap is not None:
+        caps = dataclasses.replace(
+            caps, prep=args.sta_cap if args.sta_cap > 0 else None)
+    if args.flow_cap is not None:
+        caps = dataclasses.replace(
+            caps, flow=args.flow_cap if args.flow_cap > 0 else None)
+    report = run_scaling(
+        families, gate_points, densities or (40.0,),
+        seed=getattr(args, "seed", 2019) or 2019,
+        repeat=args.repeat, caps=caps,
+        progress=(print if getattr(args, "verbose", False) else None))
     print(report.render())
     if args.out != "-":
         write_scaling_json(report, args.out)
@@ -370,14 +351,10 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     seed = DEFAULT_SEED if seed is None else seed
     families = tuple(f for f in args.families.split(",") if f)
     started = time.perf_counter()
-    try:
-        result = run_schedule(
-            scale, seed=seed, verbose=getattr(args, "verbose", False),
-            budget=args.tam, ref_width=args.width,
-            fixed_patterns=args.fixed_patterns, families=families)
-    except ConfigError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
+    result = run_schedule(
+        scale, seed=seed, verbose=getattr(args, "verbose", False),
+        budget=args.tam, ref_width=args.width,
+        fixed_patterns=args.fixed_patterns, families=families)
     print(result.render())
     print(f"[schedule regenerated in "
           f"{time.perf_counter() - started:.1f}s]")
@@ -619,11 +596,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.serve.client import (ServeClient, ServeUnavailable,
                                     socket_path_for)
 
-    try:
-        params = _parse_job_params(args.params)
-    except ConfigError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
+    params = _parse_job_params(args.params)
     client = ServeClient(socket_path_for(args.state_dir))
     try:
         if args.no_retry:
@@ -957,8 +930,7 @@ def main(argv=None) -> int:
                   retries=getattr(args, "retries", None),
                   strict=getattr(args, "strict", None),
                   checkpoint_dir=getattr(args, "checkpoint_dir", None),
-                  trace_dir=getattr(args, "trace_dir", None),
-                  backend=getattr(args, "backend", None))
+                  trace_dir=getattr(args, "trace_dir", None))
     except ConfigError as exc:
         parser.error(str(exc))
 
@@ -1022,6 +994,11 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except (ReproError, OSError, ValueError) as exc:
+        # the one error boundary for bad input: an unknown circuit, a
+        # missing or unreadable file, a malformed value
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     parser.error(f"unknown command {args.command}")
     return 2
 

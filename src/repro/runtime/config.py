@@ -22,16 +22,13 @@ map, the supervisor and the result cache:
   (:mod:`repro.runtime.trace`) and worker processes adopt it too,
 * ``chaos`` — an optional :class:`repro.runtime.chaos.ChaosPlan` of
   deterministic fault injections (set programmatically by the chaos
-  harness, or via ``REPRO_CHAOS`` as JSON),
-* ``backend`` — which kernel implementations to use, ``python`` or
-  ``numpy`` (see :mod:`repro.runtime.backend`); byte-identical either
-  way, and worker processes inherit the parent's choice.
+  harness, or via ``REPRO_CHAOS`` as JSON).
 
 Environment fallbacks (read when :func:`configure` is not given an
 explicit value): ``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
 ``REPRO_NO_CACHE=1``, ``REPRO_TIMEOUT`` (seconds; ``0`` disables),
 ``REPRO_RETRIES``, ``REPRO_STRICT=1``, ``REPRO_CHECKPOINT_DIR``,
-``REPRO_TRACE_DIR``, ``REPRO_BACKEND`` and ``REPRO_CHAOS`` (JSON, see
+``REPRO_TRACE_DIR`` and ``REPRO_CHAOS`` (JSON, see
 :func:`repro.runtime.chaos.plan_from_json`).
 """
 
@@ -58,8 +55,6 @@ class RuntimeConfig:
     trace_dir: Optional[str] = None
     #: deterministic fault-injection plan (ChaosPlan), tests/CI only
     chaos: Optional[Any] = None
-    #: kernel implementation set: "python" (default) or "numpy"
-    backend: str = "python"
 
 
 _CONFIG = RuntimeConfig()
@@ -117,7 +112,15 @@ def configure(jobs: Optional[int] = None,
               chaos: Optional[Any] = None,
               backend: Optional[str] = None) -> RuntimeConfig:
     """Update the per-process runtime config; omitted arguments fall
-    back to the environment, then to the current values."""
+    back to the environment, then to the current values.
+
+    *backend* selects nothing and is kept for callers that pin
+    ``backend="python"``; any other value raises :class:`ConfigError`.
+    """
+    if backend not in (None, "python"):
+        raise ConfigError(f"backend {backend!r} is not available: the NumPy "
+                          f"kernel backend was removed; the python kernels "
+                          f"are the only set")
     if jobs is None:
         jobs = _env_jobs()
     if jobs is not None:
@@ -164,11 +167,6 @@ def configure(jobs: Optional[int] = None,
         chaos = _env_chaos()
     if chaos is not None:
         _CONFIG.chaos = chaos
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND")
-    if backend is not None:
-        from repro.runtime.backend import validate_backend
-        _CONFIG.backend = validate_backend(backend)
     return _CONFIG
 
 
@@ -202,7 +200,6 @@ def apply_config(config: RuntimeConfig) -> None:
     _CONFIG.checkpoint_dir = config.checkpoint_dir
     _CONFIG.trace_dir = config.trace_dir
     _CONFIG.chaos = config.chaos
-    _CONFIG.backend = config.backend
     if config.trace_dir:
         from repro.runtime import trace
         trace.ensure_started(config.trace_dir, role="worker")
