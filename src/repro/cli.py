@@ -278,6 +278,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.verify import render_results, run_fuzz, self_check
 
     seed = getattr(args, "seed", 0) or 0
+    # A budget that runs no iteration would report a clean pass.
+    if args.budget is not None and args.budget < 1:
+        raise ConfigError(f"--budget must be at least 1 iteration, "
+                          f"got {args.budget}")
+    if args.seconds is not None and not args.seconds > 0:
+        raise ConfigError(f"--seconds must be positive, got {args.seconds}")
     checks = ([c for c in args.checks.split(",") if c]
               if args.checks else None)
     if args.self_check:
@@ -320,6 +326,11 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     families = [f for f in args.families.split(",") if f]
     gate_points = parse_gate_points(args.gates)
     densities = [float(d) for d in args.tsv_density.split(",") if d]
+    for flag, cap in (("--sta-cap", args.sta_cap),
+                      ("--flow-cap", args.flow_cap)):
+        if cap is not None and cap < 0:
+            raise ConfigError(f"{flag} must be a gate count >= 0 "
+                              f"(0 disables the cap), got {cap}")
     caps = ScalingCaps()
     if args.sta_cap is not None:
         caps = dataclasses.replace(

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import WcmConfig
 from repro.core.problem import WcmProblem
@@ -152,64 +153,91 @@ _REJ_OVERLAP = "overlap"
 _REJ_DISTANCE = "distance"
 
 
-def pair_outcome(problem: WcmProblem, config: WcmConfig,
-                 model: ReuseTimingModel,
-                 estimator: Optional[OverlapTestabilityEstimator],
-                 cones: Dict[str, int], kind: PortKind,
-                 name_a: str, name_b: str, a_is_ff: bool,
-                 edge_memo: Optional[Dict] = None):
-    """The post-distance outcome of one candidate pair: a sentinel or
-    the pair's :class:`OverlapEstimate`. Shared by the full sweep and
-    the session's incremental replay so both apply identical rules."""
-    key = ((kind, name_a, name_b, a_is_ff)
-           if edge_memo is not None else None)
-    outcome = edge_memo.get(key) if key is not None else None
-    if outcome is None:
-        if not model.pair_feasible(name_a, name_b, kind,
-                                   a_is_ff, False):
-            outcome = _REJ_TIMING
-        elif cones[name_a] & cones[name_b] == 0:
-            outcome = _EDGE
-        elif not a_is_ff or not config.allow_overlap \
-                or estimator is None:
-            # The paper's relaxation (Fig. 4) concerns reusing a
-            # *scan FF* despite overlapped cones; TSV-TSV sharing
-            # keeps the strict non-overlap rule in every method.
-            outcome = _REJ_OVERLAP
-        else:
-            overlap = problem.cones.overlap(name_a, name_b, kind)
-            outcome = estimator.estimate(name_a, name_b, kind, overlap)
-        if key is not None:
-            edge_memo[key] = outcome
-    return outcome
+def pair_rules(problem: WcmProblem, config: WcmConfig,
+               model: ReuseTimingModel,
+               estimator: Optional[OverlapTestabilityEstimator],
+               cones: Dict[str, int], kind: PortKind, d_th: float,
+               check_distance: bool, edge_memo: Optional[Dict] = None):
+    """Algorithm 1's edge rules for one graph build, as
+    ``row_outcomes(name_a, record_a, a_is_ff, names_b, records_b)``:
+    the outcome of each pair (*name_a*, *names_b[k]*) — a sentinel or
+    the pair's :class:`OverlapEstimate` — given the endpoints' timing
+    records. Each pair's distance is computed once, for the distance
+    test and the timing kernel. Shared by the full sweep and the
+    session's incremental replay so both apply identical rules."""
+    share = model.pair_kernel(kind, ff_pair=False)
+    reuse = model.pair_kernel(kind, ff_pair=True)
+    estimate_overlap = config.allow_overlap and estimator is not None
+
+    def row_outcomes(name_a: str, record_a, a_is_ff: bool,
+                     names_b: Sequence[str], records_b: Sequence) -> List:
+        kernel = reuse if a_is_ff else share
+        ax, ay = record_a.location
+        cone_a = cones[name_a]
+        outcomes: List = []
+        append = outcomes.append
+        for name_b, record_b in zip(names_b, records_b):
+            bx, by = record_b.location
+            dist = abs(ax - bx) + abs(ay - by)
+            if check_distance and dist >= d_th:
+                append(_REJ_DISTANCE)
+                continue
+            if edge_memo is not None:
+                key = (kind, name_a, name_b, a_is_ff)
+                result = edge_memo.get(key)
+                if result is not None:
+                    append(result)
+                    continue
+            if not kernel(record_a, record_b, dist):
+                result = _REJ_TIMING
+            elif cone_a & cones[name_b] == 0:
+                result = _EDGE
+            elif not a_is_ff or not estimate_overlap:
+                # The paper's relaxation (Fig. 4) concerns reusing a
+                # *scan FF* despite overlapped cones; TSV-TSV sharing
+                # keeps the strict non-overlap rule in every method.
+                result = _REJ_OVERLAP
+            else:
+                overlap = problem.cones.overlap(name_a, name_b, kind)
+                result = estimator.estimate(name_a, name_b, kind, overlap)
+            if edge_memo is not None:
+                edge_memo[key] = result
+            append(result)
+        return outcomes
+
+    return row_outcomes
 
 
-def apply_outcome(outcome, name_a: str, name_b: str,
-                  adjacency: Dict[str, Set[str]], stats: GraphStats,
-                  config: WcmConfig) -> None:
-    """Fold one pair outcome into adjacency/statistics — the single
-    place edges, rejection counts and coverage-drop observations are
-    produced, for both the full sweep and the incremental replay."""
-    if outcome is _REJ_DISTANCE:
-        stats.rejected_distance += 1
-    elif outcome is _EDGE:
-        adjacency[name_a].add(name_b)
-        adjacency[name_b].add(name_a)
-        stats.edges += 1
-    elif outcome is _REJ_TIMING:
-        stats.rejected_timing += 1
-    elif outcome is _REJ_OVERLAP:
-        stats.rejected_overlap += 1
-    else:
-        if trace.active() is not None:
-            trace.observe("graph.coverage_drop", outcome.coverage_drop)
-        if outcome.within(config.cov_th, config.p_th):
+def apply_outcomes(pairs: Iterable[Tuple[str, str, object]],
+                   adjacency: Dict[str, Set[str]], stats: GraphStats,
+                   config: WcmConfig) -> None:
+    """Fold ``(name_a, name_b, outcome)`` pair outcomes into
+    adjacency/statistics — the single place edges, rejection counts and
+    coverage-drop observations are produced, for both the full sweep
+    and the incremental replay."""
+    edges = 0
+    for name_a, name_b, outcome in pairs:
+        if outcome is _EDGE:
             adjacency[name_a].add(name_b)
             adjacency[name_b].add(name_a)
-            stats.edges += 1
-            stats.overlap_edges += 1
+            edges += 1
+        elif outcome is _REJ_DISTANCE:
+            stats.rejected_distance += 1
+        elif outcome is _REJ_TIMING:
+            stats.rejected_timing += 1
+        elif outcome is _REJ_OVERLAP:
+            stats.rejected_overlap += 1
         else:
-            stats.rejected_testability += 1
+            if trace.active() is not None:
+                trace.observe("graph.coverage_drop", outcome.coverage_drop)
+            if outcome.within(config.cov_th, config.p_th):
+                adjacency[name_a].add(name_b)
+                adjacency[name_b].add(name_a)
+                edges += 1
+                stats.overlap_edges += 1
+            else:
+                stats.rejected_testability += 1
+    stats.edges += edges
 
 
 def build_wcm_graph(problem: WcmProblem, kind: PortKind,
@@ -276,25 +304,27 @@ def build_wcm_graph(problem: WcmProblem, kind: PortKind,
     check_distance = math.isfinite(d_th) and config.scenario.is_timed
 
     # ---- edge construction ----------------------------------------------
-    def consider(name_a: str, name_b: str, a_is_ff: bool) -> None:
-        if check_distance and model.distance_um(name_a, name_b) >= d_th:
-            outcome = _REJ_DISTANCE
-        else:
-            outcome = pair_outcome(problem, config, model, estimator,
-                                   cones, kind, name_a, name_b,
-                                   a_is_ff, edge_memo)
+    row_outcomes = pair_rules(problem, config, model, estimator, cones,
+                              kind, d_th, check_distance, edge_memo)
+    tsv_records = [model.tsv_record(tsv) for tsv in tsvs]
+
+    def sweep_row(name_a: str, record_a, a_is_ff: bool,
+                  names_b: Sequence[str], records_b: Sequence) -> None:
+        outcomes = row_outcomes(name_a, record_a, a_is_ff, names_b,
+                                records_b)
         if pair_log is not None:
-            pair_log[(name_a, name_b, a_is_ff)] = outcome
-        apply_outcome(outcome, name_a, name_b, adjacency, stats, config)
+            for name_b, outcome in zip(names_b, outcomes):
+                pair_log[(name_a, name_b, a_is_ff)] = outcome
+        apply_outcomes(zip(repeat(name_a), names_b, outcomes), adjacency,
+                       stats, config)
 
     total_pairs = len(tsvs) * (len(tsvs) - 1) // 2 + len(ffs) * len(tsvs)
     if not (check_distance and use_grid):
         for i, tsv_a in enumerate(tsvs):
-            for tsv_b in tsvs[i + 1:]:
-                consider(tsv_a, tsv_b, a_is_ff=False)
+            sweep_row(tsv_a, tsv_records[i], False, tsvs[i + 1:],
+                      tsv_records[i + 1:])
         for ff in ffs:
-            for tsv in tsvs:
-                consider(ff, tsv, a_is_ff=True)
+            sweep_row(ff, model.ff_record(ff), True, tsvs, tsv_records)
         # Counter parity with the grid-indexed path (so `repro trace
         # diff` sees no drift between modes): report the candidate/
         # skipped split the grid sweep would have produced over the
@@ -326,15 +356,17 @@ def build_wcm_graph(problem: WcmProblem, kind: PortKind,
         candidates = _bucket_candidates(tsvs, problem.location_of, d_th)
         candidate_pairs = 0
         for i, tsv_a in enumerate(tsvs):
-            for j in candidates(tsv_a):
-                if j <= i:
-                    continue
-                candidate_pairs += 1
-                consider(tsv_a, tsvs[j], a_is_ff=False)
+            columns = [j for j in candidates(tsv_a) if j > i]
+            candidate_pairs += len(columns)
+            sweep_row(tsv_a, tsv_records[i], False,
+                      [tsvs[j] for j in columns],
+                      [tsv_records[j] for j in columns])
         for ff in ffs:
-            for j in candidates(ff):
-                candidate_pairs += 1
-                consider(ff, tsvs[j], a_is_ff=True)
+            columns = candidates(ff)
+            candidate_pairs += len(columns)
+            sweep_row(ff, model.ff_record(ff), True,
+                      [tsvs[j] for j in columns],
+                      [tsv_records[j] for j in columns])
         # Pairs outside the neighbourhood have distance >= d_th by
         # construction; charge them without visiting.
         stats.rejected_distance += total_pairs - candidate_pairs

@@ -15,10 +15,11 @@ re-solving incrementally:
   ``analyze_delta`` instead of full sweeps.
 * **Dirty region.** Per-node signatures capture everything the pair
   feasibility checks read (position, baseline arrivals/requireds,
-  loads). Memoized ``pair_feasible`` outcomes survive between solves
-  for node pairs whose signatures did not change; the sharing graph is
-  rebuilt through the memo, so rejection statistics and trace counters
-  come out identical to a cold build.
+  loads). Memoized pair outcomes (timing verdict, cone test,
+  testability estimate) survive between solves for node pairs whose
+  signatures did not change; the sharing graph is rebuilt through the
+  memo, so rejection statistics and trace counters come out identical
+  to a cold build.
 * **Partition reuse.** ``merged_state`` outcomes are memoized on state
   values (:func:`repro.core.clique._merged_state_fn`); when an edit
   leaves a kind's graph and node states untouched,
@@ -48,10 +49,9 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 from repro.core.clique import CliquePartition, Clique, partition_cliques, repartition
 from repro.core.config import WcmConfig
 from repro.core.flow import FlowHooks, WcmRunResult, run_wcm_flow
-from repro.core.graph import (GraphStats, WcmGraph, _REJ_DISTANCE,
-                              _bucket_candidates, _cone_bitsets,
-                              apply_outcome, build_wcm_graph,
-                              effective_d_th, pair_outcome)
+from repro.core.graph import (GraphStats, WcmGraph, _bucket_candidates,
+                              _cone_bitsets, apply_outcomes,
+                              build_wcm_graph, effective_d_th, pair_rules)
 from repro.core.problem import WcmProblem, build_problem
 from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import ReuseTimingModel
@@ -118,35 +118,6 @@ class SetThreshold:
 
 
 Edit = Union[MoveFf, MoveTsv, AddTsv, RemoveTsv, SetThreshold]
-
-
-# ---------------------------------------------------------------------------
-# Memoized flow pieces
-# ---------------------------------------------------------------------------
-class _MemoModel(ReuseTimingModel):
-    """ReuseTimingModel with a cross-solve ``pair_feasible`` memo.
-
-    The memo is keyed by the pair identity only; the session drops
-    every entry touching a node whose signature changed, so a hit is
-    always the value the uncached check would recompute.
-    """
-
-    def __init__(self, problem: WcmProblem, config: WcmConfig,
-                 pair_memo: Dict) -> None:
-        super().__init__(problem, config)
-        self._pair_memo = pair_memo
-
-    def pair_feasible(self, name_a: str, name_b: str, kind: PortKind,
-                      a_is_ff: bool, b_is_ff: bool) -> bool:
-        key = (kind, name_a, name_b, a_is_ff, b_is_ff)
-        memo = self._pair_memo
-        try:
-            return memo[key]
-        except KeyError:
-            result = super().pair_feasible(name_a, name_b, kind,
-                                           a_is_ff, b_is_ff)
-            memo[key] = result
-            return result
 
 
 @dataclass
@@ -284,7 +255,6 @@ class WcmSession:
                 netlist, clock=self._clock, placement=placement,
                 already_prepared=already_prepared)
         # cross-solve memos
-        self._pair_memo: Dict = {}
         self._edge_memo: Dict = {}
         self._merge_memo: Dict = {}
         self._graph_cache: Dict[PortKind, _GraphCache] = {}
@@ -303,7 +273,7 @@ class WcmSession:
         self.last_fallback: Optional[str] = None
         self.edit_count = 0
         # per-solve scratch (set in solve())
-        self._solve_model: Optional[_MemoModel] = None
+        self._solve_model: Optional[ReuseTimingModel] = None
         self._solve_dirty: Set[str] = set()
 
     # ------------------------------------------------------------------
@@ -393,7 +363,7 @@ class WcmSession:
         else:
             self._refresh_baseline()
 
-        model = _MemoModel(self.problem, self.config, self._pair_memo)
+        model = ReuseTimingModel(self.problem, self.config)
         sigs = self._node_signatures(model)
         dirty = {name for name in set(sigs) | set(self._node_sigs)
                  if sigs.get(name) != self._node_sigs.get(name)}
@@ -405,18 +375,16 @@ class WcmSession:
                 and frac > self.fallback_ratio:
             self._fallback("dirty_frac")
             # the problem was rebuilt; re-derive the model and
-            # signatures from it (the memo dict was cleared in place,
-            # so the fresh model starts cold as intended)
-            model = _MemoModel(self.problem, self.config, self._pair_memo)
+            # signatures from it
+            model = ReuseTimingModel(self.problem, self.config)
             sigs = self._node_signatures(model)
             dirty = set(sigs)
         if dirty:
-            # in place: the model already holds a reference to this dict
-            for memo in (self._pair_memo, self._edge_memo):
-                stale = [key for key in memo
-                         if key[1] in dirty or key[2] in dirty]
-                for key in stale:
-                    del memo[key]
+            memo = self._edge_memo
+            stale = [key for key in memo
+                     if key[1] in dirty or key[2] in dirty]
+            for key in stale:
+                del memo[key]
         self._node_sigs = sigs
         self._solve_model = model
         self._solve_dirty = dirty
@@ -436,7 +404,6 @@ class WcmSession:
                                      already_prepared=True)
         self._base_rev = _reverse_anchors(self.problem.dedicated_anchors)
         self._base_order = self._dedicated_order()
-        self._pair_memo.clear()
         self._edge_memo.clear()
         self._graph_cache.clear()
         self._frozen.clear()
@@ -529,9 +496,9 @@ class WcmSession:
 
     # -- node signatures ------------------------------------------------
     def _node_signatures(self, model: ReuseTimingModel) -> Dict[str, tuple]:
-        """Everything ``pair_feasible``/``initial_state`` read per node;
-        an unchanged signature certifies every memoized check touching
-        the node."""
+        """Every timing-record input the pair kernels and
+        ``initial_state`` read per node; an unchanged signature
+        certifies every memoized check touching the node."""
         problem = self.problem
         netlist = problem.netlist
         t, tt = problem.timing, problem.test_timing
@@ -631,8 +598,8 @@ class WcmSession:
         change voids the cache — ``None`` means build cold. Otherwise
         pairs touching a dirty node are purged and re-considered via
         the same spatial-hash candidate query, exact distance check and
-        :func:`pair_outcome` rules as the full sweep, then every logged
-        outcome is re-tallied through :func:`apply_outcome` — stats,
+        :func:`pair_rules` as the full sweep, then every logged
+        outcome is re-tallied through :func:`apply_outcomes` — stats,
         counters and coverage-drop observations match a cold build.
         """
         tsvs: List[str] = []
@@ -660,18 +627,18 @@ class WcmSession:
             for key in stale:
                 del pair_log[key]
 
+            row_outcomes = pair_rules(problem, config, model, estimator,
+                                      cones, kind, d_th, check_distance,
+                                      self._edge_memo)
+
             def reconsider(name_a: str, name_b: str,
                            a_is_ff: bool) -> None:
                 key = (name_a, name_b, a_is_ff)
                 if key in pair_log:
                     return  # both endpoints dirty: visited once
-                if check_distance \
-                        and model.distance_um(name_a, name_b) >= d_th:
-                    pair_log[key] = _REJ_DISTANCE
-                else:
-                    pair_log[key] = pair_outcome(
-                        problem, config, model, estimator, cones, kind,
-                        name_a, name_b, a_is_ff, self._edge_memo)
+                pair_log[key] = row_outcomes(
+                    name_a, model.node_record(name_a, a_is_ff), a_is_ff,
+                    (name_b,), (model.tsv_record(name_b),))[0]
 
             index_of = {name: j for j, name in enumerate(tsvs)}
 
@@ -714,9 +681,9 @@ class WcmSession:
                            tsv_nodes=len(tsvs),
                            excluded_tsvs=len(excluded))
         adjacency: Dict[str, Set[str]] = {name: set() for name in nodes}
-        for (name_a, name_b, _a_is_ff), outcome in pair_log.items():
-            apply_outcome(outcome, name_a, name_b, adjacency, stats,
-                          config)
+        apply_outcomes(((name_a, name_b, outcome) for (name_a, name_b, _),
+                        outcome in pair_log.items()),
+                       adjacency, stats, config)
         total_pairs = (len(tsvs) * (len(tsvs) - 1) // 2
                        + len(ffs) * len(tsvs))
         candidate_pairs = len(pair_log)

@@ -21,13 +21,24 @@ and its solutions fail sign-off STA (Table III's 20/24 violations).
 A scan FF may serve several groups ("reused multiple times"); the
 :class:`FfReuseLedger` accumulates each FF's extra Q load and enforces
 at most one outbound chain per FF. See DESIGN.md §4.
+
+Algorithm 1 asks for a timing verdict on every candidate pair, so the
+model reads each node's timing inputs once, into an
+:class:`FfTimingRecord` or :class:`TsvTimingRecord`, and
+:meth:`ReuseTimingModel.pair_kernel` turns each of the four pair checks
+into arithmetic on (record, record, distance). The ledger's adoption
+checks and the clique-state checks call the same arithmetic helpers
+(``_q_side``, ``_inbound_adopt_ok``, ``_outbound_capture_ok``, bound
+in :meth:`ReuseTimingModel._bind_pair_arithmetic`), so every formula
+is written once; ``repro.verify.oracles`` keeps an independent scalar
+transcription that referees them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.core.config import WcmConfig
 from repro.core.problem import WcmProblem
@@ -76,6 +87,61 @@ class CliqueTimingState:
     ff_d_slowdown_ps: float = 0.0
 
 
+class FfTimingRecord(NamedTuple):
+    """A scan FF's timing inputs, read once per model."""
+
+    location: Tuple[float, float]
+    #: functional arrival and slack of the Q net
+    arrival_ps: float
+    q_slack_ps: float
+    #: the FF's drive resistance (ps/fF)
+    resistance: float
+    #: test-mode arrival of the functional D net (0 without one)
+    d_arrival_ps: float
+    #: slowdown of the D net from re-pinning it onto the XOR/mux pair
+    d_slowdown_ps: float
+    #: the Q net has the slack to drive one group buffer pin (a fresh
+    #: ledger), and the launch time at that buffer: ``arrival + ΔR·C``
+    q_ok: bool
+    q_launch_ps: float
+    #: the D net keeps its slack through the test mux and re-pinning,
+    #: and the D-side source of the capture chain: ``d_arrival + d_slow``
+    d_ok: bool
+    d_source_ps: float
+
+
+class TsvTimingRecord(NamedTuple):
+    """A TSV's timing inputs, read once per model. The inbound checks
+    read ``load_ff``/``required_ps``, the outbound checks the rest."""
+
+    location: Tuple[float, float]
+    #: this method's model load of the TSV net (see ``model_load_ff``)
+    load_ff: float
+    #: required time at the inbound test mux's B pin
+    required_ps: float
+    #: functional and test-mode arrival of the TSV net
+    arrival_ps: float
+    test_arrival_ps: float
+    #: driver resistance of the TSV net (0 when a port drives it)
+    resistance: float
+    #: tightest slack of the TSV net over both modes
+    min_slack_ps: float
+
+
+NodeRecord = Union[FfTimingRecord, TsvTimingRecord]
+PairKernel = Callable[[NodeRecord, TsvTimingRecord, float], bool]
+
+
+def _no_wire(*_args: float) -> float:
+    """Wire cap/delay of a model without wire terms."""
+    return 0.0
+
+
+def _admit(_a: NodeRecord, _b: TsvTimingRecord, _dist: float) -> bool:
+    """Pair kernel of a check the scenario does not constrain."""
+    return True
+
+
 class ReuseTimingModel:
     """Feasibility oracle for reuse/sharing decisions."""
 
@@ -100,16 +166,25 @@ class ReuseTimingModel:
         self._ff_required = (period - config.scenario.clock.setup_ps
                              if period is not None else INF)
         self._timed = config.scenario.is_timed
-        # Memoized lookups over immutable problem state. The pair sweep
-        # asks for the same locations / nets / resistances thousands of
-        # times; each cache returns exactly the value the uncached code
-        # would recompute.
-        self._location_cache: Dict[str, Tuple[float, float]] = {}
-        self._tsv_net_cache: Dict[str, str] = {}
-        self._resistance_cache: Dict[str, float] = {}
-        self._mux_b_required_cache: Dict[str, float] = {}
-        self._load_cache: Dict[str, float] = {}
+        self._wire_cap: Callable[[float], float] = (
+            self._wire.wire_cap_ff if self._use_wire else _no_wire)
+        self.buf_pin_cap = self._buf.input_cap("A")
         self._mux_b_cap = self._mux.input_cap("B")
+        #: the test mux in front of a capturing FF's D pin
+        self._mux_d_delay_ps = self._mux.delay_ps(self._sdff.input_cap("D"))
+        #: a dedicated wrapper cell's launch into its group buffer
+        self._dedicated_launch_ps = self._sdff.delay_ps(self.buf_pin_cap)
+        #: D-net load change from re-pinning D onto the XOR/mux pair
+        self._d_repin_cap = max(self._xor.input_cap("A")
+                                + self._mux.input_cap("A")
+                                - self._sdff.input_cap("D"), 0.0)
+        # Per-node records and the lookups read more than once per node;
+        # each returns exactly what a fresh recomputation would.
+        self._ff_records: Dict[str, FfTimingRecord] = {}
+        self._tsv_records: Dict[str, TsvTimingRecord] = {}
+        self._location_cache: Dict[str, Tuple[float, float]] = {}
+        self._load_cache: Dict[str, float] = {}
+        self._bind_pair_arithmetic()
 
     # ------------------------------------------------------------------
     # Geometry / electrical primitives
@@ -125,34 +200,11 @@ class ReuseTimingModel:
         bx, by = self._location(name_b)
         return abs(ax - bx) + abs(ay - by)
 
-    def _wire_cap(self, length_um: float) -> float:
-        if not self._use_wire:
-            return 0.0
-        return self._wire.wire_cap_ff(length_um)
-
-    def _wire_delay(self, length_um: float, load_ff: float) -> float:
-        if not self._use_wire:
-            return 0.0
-        return self._wire.wire_delay_ps(length_um, load_ff)
-
     def _tsv_net(self, tsv_name: str) -> str:
-        net = self._tsv_net_cache.get(tsv_name)
+        net = self.problem.netlist.port(tsv_name).net
         if net is None:
-            net = self.problem.netlist.port(tsv_name).net
-            if net is None:
-                raise ConfigError(f"TSV {tsv_name} unconnected")
-            self._tsv_net_cache[tsv_name] = net
+            raise ConfigError(f"TSV {tsv_name} unconnected")
         return net
-
-    @property
-    def buf_pin_cap(self) -> float:
-        return self._buf.input_cap("A")
-
-    def _mux_delay(self, load_ff: float) -> float:
-        return self._mux.delay_ps(load_ff)
-
-    def _xor_delay(self) -> float:
-        return self._xor.delay_ps(self._xor.input_cap("A"))
 
     # ------------------------------------------------------------------
     # Loads (the quantity compared against cap_th)
@@ -190,40 +242,80 @@ class ReuseTimingModel:
         return total
 
     def _driver_resistance(self, net_name: str) -> float:
-        resistance = self._resistance_cache.get(net_name)
-        if resistance is None:
-            net = self.problem.netlist.net(net_name)
-            if net.driver is None or net.driver.is_port:
-                resistance = 0.0
-            else:
-                inst = self.problem.netlist.instance(net.driver.owner_name)
-                resistance = inst.cell.drive_resistance
-            self._resistance_cache[net_name] = resistance
-        return resistance
-
-    def member_buffer_load(self, tsv_name: str) -> float:
-        """What one member adds to the group buffer: its test mux pin
-        (the mux re-drives the sink load itself)."""
-        return self._mux_b_cap
+        net = self.problem.netlist.net(net_name)
+        if net.driver is None or net.driver.is_port:
+            return 0.0
+        return self.problem.netlist.instance(
+            net.driver.owner_name).cell.drive_resistance
 
     def required_at_mux_b(self, tsv_name: str) -> float:
         """Required time at the inbound test mux's B pin, from the
         test-mode STA of the reference build."""
-        required = self._mux_b_required_cache.get(tsv_name)
-        if required is None:
-            required = self._required_at_mux_b(tsv_name)
-            self._mux_b_required_cache[tsv_name] = required
-        return required
-
-    def _required_at_mux_b(self, tsv_name: str) -> float:
         mux_out = self.problem.tsv_mux_out.get(tsv_name)
         if mux_out is None:
             return INF
         required = self.test_timing.required_ps.get(mux_out, INF)
         if required is INF:
             return INF
-        return required - self._mux_delay(
+        return required - self._mux.delay_ps(
             self.test_timing.load_of_net(mux_out))
+
+    # ------------------------------------------------------------------
+    # Per-node records
+    # ------------------------------------------------------------------
+    def ff_record(self, ff_name: str) -> FfTimingRecord:
+        record = self._ff_records.get(ff_name)
+        if record is None:
+            record = self._ff_records[ff_name] = self._build_ff_record(
+                ff_name)
+        return record
+
+    def tsv_record(self, tsv_name: str) -> TsvTimingRecord:
+        record = self._tsv_records.get(tsv_name)
+        if record is None:
+            record = self._tsv_records[tsv_name] = self._build_tsv_record(
+                tsv_name)
+        return record
+
+    def node_record(self, name: str, is_ff: bool) -> NodeRecord:
+        return self.ff_record(name) if is_ff else self.tsv_record(name)
+
+    def _build_ff_record(self, ff_name: str) -> FfTimingRecord:
+        ff = self.problem.netlist.instance(ff_name)
+        q_net = ff.output_net()
+        d_net = ff.connections.get("D")
+        arrival = self.timing.arrival_ps.get(q_net, 0.0)
+        q_slack = self.timing.slack_of_net(q_net)
+        resistance = ff.cell.drive_resistance
+        q_ok, q_launch = self._q_side(arrival, q_slack, resistance, 0.0)
+        if d_net is None:
+            d_arrival = d_slowdown = 0.0
+            d_ok = False
+        else:
+            d_arrival = self.test_timing.arrival_ps.get(d_net, 0.0)
+            d_slowdown = self._driver_resistance(d_net) * self._d_repin_cap
+            d_slack = min(self.timing.slack_of_net(d_net),
+                          self.test_timing.slack_of_net(d_net))
+            d_ok = not (d_slack < self._mux_d_delay_ps + d_slowdown
+                        + PREDICTION_MARGIN_PS)
+        return FfTimingRecord(
+            location=self._location(ff_name), arrival_ps=arrival,
+            q_slack_ps=q_slack, resistance=resistance,
+            d_arrival_ps=d_arrival, d_slowdown_ps=d_slowdown,
+            q_ok=q_ok, q_launch_ps=q_launch,
+            d_ok=d_ok, d_source_ps=d_arrival + d_slowdown)
+
+    def _build_tsv_record(self, tsv_name: str) -> TsvTimingRecord:
+        net = self._tsv_net(tsv_name)
+        return TsvTimingRecord(
+            location=self._location(tsv_name),
+            load_ff=self.model_load_ff(tsv_name),
+            required_ps=self.required_at_mux_b(tsv_name),
+            arrival_ps=self.timing.arrival_ps.get(net, 0.0),
+            test_arrival_ps=self.test_timing.arrival_ps.get(net, 0.0),
+            resistance=self._driver_resistance(net),
+            min_slack_ps=min(self.timing.slack_of_net(net),
+                             self.test_timing.slack_of_net(net)))
 
     # ------------------------------------------------------------------
     # Node filters (Algorithm 1, node construction)
@@ -237,111 +329,179 @@ class ReuseTimingModel:
         return slack > self.config.scenario.s_th_ps
 
     # ------------------------------------------------------------------
-    # Pair feasibility (Algorithm 1, edge construction)
+    # Pair arithmetic (Algorithm 1, edge construction)
     # ------------------------------------------------------------------
-    def inbound_reuse_feasible(self, ff_name: str, tsv_name: str) -> bool:
-        """Can *ff_name* (via its group buffer) drive *tsv_name*'s mux?"""
-        if not self._timed:
-            return True
-        state = self.initial_state(tsv_name, PortKind.TSV_INBOUND,
-                                   is_ff=False)
-        ledger = FfReuseLedger(self)
-        return ledger.inbound_adoption_feasible(ff_name, state)
-
-    def inbound_share_feasible(self, tsv_a: str, tsv_b: str) -> bool:
-        """Can two inbound TSVs hang off one group buffer?"""
+    def _bind_pair_arithmetic(self) -> None:
+        """Bind the four pair kernels, and the helpers they share with
+        the ledger and the clique-state checks, as closures over the
+        model's constants: the sweep calls a kernel once per candidate
+        pair, and closure variables are cheaper than attribute lookups.
+        The conditionals written for ``max`` pick the same value."""
+        wire_cap = self._wire_cap
+        wire_delay = (self._wire.wire_delay_ps if self._use_wire
+                      else _no_wire)
+        buf_delay = self._buf.delay_ps
+        buf_pin_cap, mux_b_cap = self.buf_pin_cap, self._mux_b_cap
+        two_mux_b_cap = 2 * mux_b_cap
+        xor_b_cap = self._xor.input_cap("B")
+        xor_delay = self._xor.delay_ps(self._xor.input_cap("A"))
+        two_xor_delay = 2 * xor_delay
+        mux_d_delay = self._mux_d_delay_ps
         cap_th = self.config.scenario.cap_th_ff
-        if cap_th is INF:
-            return True
-        coupling = self._wire_cap(self.distance_um(tsv_a, tsv_b))
-        total = (self.model_load_ff(tsv_a) + self.model_load_ff(tsv_b)
-                 + 2 * self._mux.input_cap("B") + coupling)
-        return total < cap_th
+        ff_required = self._ff_required
+        slack_floor = self.config.scenario.s_th_ps + PREDICTION_MARGIN_PS
+        margin = PREDICTION_MARGIN_PS
 
-    def outbound_reuse_feasible(self, ff_name: str, tsv_name: str) -> bool:
-        """Can *ff_name* observe *tsv_name* through an XOR tap?"""
-        if not self._timed:
-            return True
-        state = self.initial_state(tsv_name, PortKind.TSV_OUTBOUND,
-                                   is_ff=False)
-        ledger = FfReuseLedger(self)
-        return ledger.outbound_adoption_feasible(ff_name, state)
+        def q_side(arrival_ps: float, q_slack_ps: float, resistance: float,
+                   extra_cap_ff: float) -> Tuple[bool, float]:
+            """(go, launch) when an FF whose Q already carries
+            *extra_cap_ff* of group buffers drives one more: does the Q
+            net keep its slack, and when does the new buffer see it."""
+            delta_delay = resistance * (extra_cap_ff + buf_pin_cap)
+            go = not (q_slack_ps < delta_delay + margin)
+            return go, arrival_ps + delta_delay
 
-    def outbound_share_feasible(self, tsv_a: str, tsv_b: str) -> bool:
-        """Can two outbound TSVs share one observation chain?"""
-        if not self._timed:
-            return True
-        dist = self.distance_um(tsv_a, tsv_b)
-        worst = 0.0
-        for tsv in (tsv_a, tsv_b):
-            net = self._tsv_net(tsv)
-            arrival = (self.timing.arrival_ps.get(net, 0.0)
-                       + self._wire_delay(dist, self._xor.input_cap("B"))
-                       + 2 * self._xor_delay()
-                       + self._mux_delay(self._sdff.input_cap("D")))
-            worst = max(worst, arrival)
-        slack = self._ff_required - worst
-        return slack > self.config.scenario.s_th_ps + PREDICTION_MARGIN_PS
+        def inbound_adopt_ok(launch_ps: float, cap_ff: float,
+                             required_ps: float, span_um: float,
+                             hop_um: float) -> bool:
+            """An inbound group driven from *hop_um* beyond its anchor:
+            launch, group buffer under its load plus the hop's wire, and
+            route to the farthest member's mux vs. the tightest
+            member's required time."""
+            if required_ps is INF:
+                return True
+            cap = cap_ff + wire_cap(hop_um)
+            if cap >= cap_th:
+                return False
+            path = (launch_ps + buf_delay(cap)
+                    + wire_delay(span_um + hop_um, mux_b_cap))
+            return path + margin <= required_ps
+
+        def outbound_capture_ok(arrival_ps: float, resistance: float,
+                                member_slack_ps: float, d_source_ps: float,
+                                chain_depth: int, span_um: float) -> bool:
+            """Test capture of an outbound group whose XOR chain sits
+            *span_um* from its farthest member."""
+            tap_cap = xor_b_cap + wire_cap(span_um)
+            slowdown = resistance * tap_cap
+            # The tap slowdown also delays the member's other fanout;
+            # it must fit inside the member's own slack.
+            if slowdown + margin > member_slack_ps:
+                return False
+            member_source = (arrival_ps + slowdown
+                             + wire_delay(span_um, xor_b_cap))
+            source = (d_source_ps if d_source_ps > member_source
+                      else member_source)
+            capture = source + chain_depth * xor_delay + mux_d_delay
+            slack = ff_required - capture
+            return slack > slack_floor
+
+        def inbound_reuse(ff: FfTimingRecord, tsv: TsvTimingRecord,
+                          hop_um: float) -> bool:
+            """A fresh FF's Q (via its group buffer) drives one TSV."""
+            return ff.q_ok and inbound_adopt_ok(
+                ff.q_launch_ps, mux_b_cap, tsv.required_ps, 0.0, hop_um)
+
+        def outbound_reuse(ff: FfTimingRecord, tsv: TsvTimingRecord,
+                           hop_um: float) -> bool:
+            """A fresh FF observes one TSV through an XOR tap. Like the
+            ledger's adoption probe, it applies no member-slack test."""
+            return ff.d_ok and outbound_capture_ok(
+                tsv.test_arrival_ps, tsv.resistance, INF, ff.d_source_ps,
+                1, hop_um)
+
+        def inbound_share(a: TsvTimingRecord, b: TsvTimingRecord,
+                          dist_um: float) -> bool:
+            """Two inbound TSVs hang off one group buffer."""
+            total = (a.load_ff + b.load_ff + two_mux_b_cap
+                     + wire_cap(dist_um))
+            return total < cap_th
+
+        def outbound_share(a: TsvTimingRecord, b: TsvTimingRecord,
+                           dist_um: float) -> bool:
+            """Two outbound TSVs share one observation chain. Rounding
+            is monotone, so the later-arriving member sets the worst
+            path."""
+            arrival = (b.arrival_ps if b.arrival_ps > a.arrival_ps
+                       else a.arrival_ps)
+            worst = (arrival + wire_delay(dist_um, xor_b_cap)
+                     + two_xor_delay + mux_d_delay)
+            if not worst > 0.0:
+                worst = 0.0
+            return ff_required - worst > slack_floor
+
+        self._q_side = q_side
+        self._inbound_adopt_ok = inbound_adopt_ok
+        self._outbound_capture_ok = outbound_capture_ok
+        timed = self._timed
+        self._kernels: Dict[Tuple[PortKind, bool], PairKernel] = {
+            (PortKind.TSV_INBOUND, True): inbound_reuse if timed else _admit,
+            (PortKind.TSV_OUTBOUND, True): (outbound_reuse if timed
+                                            else _admit),
+            (PortKind.TSV_INBOUND, False): (_admit if cap_th is INF
+                                            else inbound_share),
+            (PortKind.TSV_OUTBOUND, False): (outbound_share if timed
+                                             else _admit),
+        }
+
+    def pair_kernel(self, kind: PortKind, ff_pair: bool) -> PairKernel:
+        """The timing check of one pair shape as ``kernel(record_a,
+        record_b, distance_um)``: *record_a* is the FF's record when
+        *ff_pair*, else the first TSV's; *record_b* is a TSV's."""
+        return self._kernels[(kind, ff_pair)]
 
     def pair_feasible(self, name_a: str, name_b: str, kind: PortKind,
                       a_is_ff: bool, b_is_ff: bool) -> bool:
         """Edge-level timing feasibility for Algorithm 1."""
         if a_is_ff and b_is_ff:
             return False  # FF-FF edges never exist
-        if kind is PortKind.TSV_INBOUND:
-            if a_is_ff:
-                return self.inbound_reuse_feasible(name_a, name_b)
-            if b_is_ff:
-                return self.inbound_reuse_feasible(name_b, name_a)
-            return self.inbound_share_feasible(name_a, name_b)
-        if a_is_ff:
-            return self.outbound_reuse_feasible(name_a, name_b)
         if b_is_ff:
-            return self.outbound_reuse_feasible(name_b, name_a)
-        return self.outbound_share_feasible(name_a, name_b)
+            name_a, name_b = name_b, name_a
+        ff_pair = a_is_ff or b_is_ff
+        return self.pair_kernel(kind, ff_pair)(
+            self.node_record(name_a, ff_pair), self.tsv_record(name_b),
+            self.distance_um(name_a, name_b))
+
+    def inbound_reuse_feasible(self, ff_name: str, tsv_name: str) -> bool:
+        """Can *ff_name* (via its group buffer) drive *tsv_name*'s mux?"""
+        return self.pair_feasible(ff_name, tsv_name, PortKind.TSV_INBOUND,
+                                  True, False)
+
+    def outbound_reuse_feasible(self, ff_name: str, tsv_name: str) -> bool:
+        """Can *ff_name* observe *tsv_name* through an XOR tap?"""
+        return self.pair_feasible(ff_name, tsv_name, PortKind.TSV_OUTBOUND,
+                                  True, False)
 
     # ------------------------------------------------------------------
     # Clique state (Algorithm 2's `cap` bookkeeping)
     # ------------------------------------------------------------------
     def initial_state(self, name: str, kind: PortKind, is_ff: bool
                       ) -> CliqueTimingState:
-        location = self.problem.location_of(name)
         if is_ff:
-            netlist = self.problem.netlist
-            ff = netlist.instance(name)
-            q_net = ff.output_net()
-            d_net = ff.connections.get("D")
-            # Re-pinning D onto the XOR/mux pair changes its net's load
-            # by (xor.A + mux.A - ff.D) and slows its driver.
-            d_slow = 0.0
-            if d_net is not None:
-                delta = (self._xor.input_cap("A") + self._mux.input_cap("A")
-                         - self._sdff.input_cap("D"))
-                d_slow = self._driver_resistance(d_net) * max(delta, 0.0)
+            ff = self.ff_record(name)
             return CliqueTimingState(
-                kind=kind, members=(), anchor=location, has_ff=True,
+                kind=kind, members=(), anchor=ff.location, has_ff=True,
                 ff_name=name,
-                ff_arrival_ps=self.timing.arrival_ps.get(q_net, 0.0),
-                ff_q_slack_ps=self.timing.slack_of_net(q_net),
-                ff_resistance=ff.cell.drive_resistance,
-                ff_d_arrival_ps=(self.test_timing.arrival_ps.get(d_net, 0.0)
-                                 if d_net else 0.0),
-                ff_d_slowdown_ps=d_slow,
+                ff_arrival_ps=ff.arrival_ps,
+                ff_q_slack_ps=ff.q_slack_ps,
+                ff_resistance=ff.resistance,
+                ff_d_arrival_ps=ff.d_arrival_ps,
+                ff_d_slowdown_ps=ff.d_slowdown_ps,
             )
+        tsv = self.tsv_record(name)
         if kind is PortKind.TSV_INBOUND:
             return CliqueTimingState(
-                kind=kind, members=(name,), anchor=location, has_ff=False,
-                cap_ff=self.member_buffer_load(name),
-                min_required_ps=self.required_at_mux_b(name),
-                max_member_load_ff=self.model_load_ff(name),
+                kind=kind, members=(name,), anchor=tsv.location,
+                has_ff=False,
+                cap_ff=self._mux_b_cap,
+                min_required_ps=tsv.required_ps,
+                max_member_load_ff=tsv.load_ff,
             )
-        net = self._tsv_net(name)
         return CliqueTimingState(
-            kind=kind, members=(name,), anchor=location, has_ff=False,
-            worst_arrival_ps=self.test_timing.arrival_ps.get(net, 0.0),
-            worst_member_resistance=self._driver_resistance(net),
-            min_member_slack_ps=min(self.timing.slack_of_net(net),
-                                    self.test_timing.slack_of_net(net)),
+            kind=kind, members=(name,), anchor=tsv.location, has_ff=False,
+            worst_arrival_ps=tsv.test_arrival_ps,
+            worst_member_resistance=tsv.resistance,
+            min_member_slack_ps=tsv.min_slack_ps,
         )
 
     def _inbound_capture_ok(self, state: CliqueTimingState) -> bool:
@@ -351,20 +511,19 @@ class ReuseTimingModel:
         if not state.has_ff:
             # Dedicated cell at the anchor: its launch is the SDFF's
             # clock-to-Q; members still pay buffer + route.
-            path = (self._sdff.delay_ps(self.buf_pin_cap)
-                    + self._buf.delay_ps(state.cap_ff)
-                    + self._wire_delay(state.max_span_um,
-                                       self._mux.input_cap("B")))
-            return path + PREDICTION_MARGIN_PS <= state.min_required_ps
-        # The baseline STA already includes each member's test mux (the
-        # dedicated-wrapper reference build), so the prediction adds
-        # only what reuse changes: FF loading, buffer, route.
-        path = (state.ff_arrival_ps
-                + state.ff_resistance * self.buf_pin_cap
-                + self._buf.delay_ps(state.cap_ff)
-                + self._wire_delay(state.max_span_um,
-                                   self._mux.input_cap("B")))
-        return path + PREDICTION_MARGIN_PS <= state.min_required_ps
+            launch = self._dedicated_launch_ps
+        else:
+            # The baseline STA already includes each member's test mux
+            # (the dedicated-wrapper reference build), so the prediction
+            # adds only what reuse changes: FF loading, buffer, route.
+            _go, launch = self._q_side(state.ff_arrival_ps,
+                                       state.ff_q_slack_ps,
+                                       state.ff_resistance, 0.0)
+        # merged_state already held cap_ff under cap_th; at zero hop
+        # the adoption check is exactly the group's own path check.
+        return self._inbound_adopt_ok(launch, state.cap_ff,
+                                      state.min_required_ps,
+                                      state.max_span_um, 0.0)
 
     def merged_state(self, a: CliqueTimingState, b: CliqueTimingState
                      ) -> Optional[CliqueTimingState]:
@@ -429,27 +588,15 @@ class ReuseTimingModel:
                             extra_hop_um: float) -> bool:
         """Test-capture feasibility of an outbound group whose chain
         sits *extra_hop_um* beyond the current anchor (0 for the state
-        as-is, the FF hop at adoption time)."""
+        as-is)."""
         if not self._timed:
             return True
-        span = state.max_span_um + extra_hop_um
-        xor_pin = self._xor.input_cap("B")
-        tap_cap = xor_pin + self._wire_cap(span)
-        slowdown = state.worst_member_resistance * tap_cap
-        # The tap slowdown also delays the member's other fanout; it
-        # must fit inside the member's own slack.
-        if slowdown + PREDICTION_MARGIN_PS > state.min_member_slack_ps:
-            return False
-        member_source = (state.worst_arrival_ps + slowdown
-                         + self._wire_delay(span, xor_pin))
         d_source = ((state.ff_d_arrival_ps + state.ff_d_slowdown_ps)
                     if state.has_ff else 0.0)
-        chain_depth = max(1, len(state.members))
-        capture = (max(member_source, d_source)
-                   + chain_depth * self._xor_delay()
-                   + self._mux_delay(self._sdff.input_cap("D")))
-        slack = self._ff_required - capture
-        return slack > self.config.scenario.s_th_ps + PREDICTION_MARGIN_PS
+        return self._outbound_capture_ok(
+            state.worst_arrival_ps, state.worst_member_resistance,
+            state.min_member_slack_ps, d_source,
+            max(1, len(state.members)), state.max_span_um + extra_hop_um)
 
 
 class FfReuseLedger:
@@ -461,39 +608,23 @@ class FfReuseLedger:
         self._outbound_used: Set[str] = set()
 
     # ------------------------------------------------------------------
-    def _ff_q_slack(self, ff_name: str) -> float:
-        netlist = self.model.problem.netlist
-        q_net = netlist.instance(ff_name).output_net()
-        return self.model.timing.slack_of_net(q_net)
-
-    def _ff_arrival(self, ff_name: str) -> float:
-        netlist = self.model.problem.netlist
-        q_net = netlist.instance(ff_name).output_net()
-        return self.model.timing.arrival_ps.get(q_net, 0.0)
+    @staticmethod
+    def _hop(ff: FfTimingRecord, state: CliqueTimingState) -> float:
+        fx, fy = ff.location
+        return abs(fx - state.anchor[0]) + abs(fy - state.anchor[1])
 
     def inbound_adoption_feasible(self, ff_name: str,
                                   state: CliqueTimingState) -> bool:
         model = self.model
         if not model._timed:
             return True
-        netlist = model.problem.netlist
-        ff = netlist.instance(ff_name)
-        new_cap = self._extra_q_cap.get(ff_name, 0.0) + model.buf_pin_cap
-        delta_delay = ff.cell.drive_resistance * new_cap
-        if self._ff_q_slack(ff_name) < delta_delay + PREDICTION_MARGIN_PS:
-            return False
-        if state.min_required_ps is INF:
-            return True
-        fx, fy = model.problem.location_of(ff_name)
-        hop = abs(fx - state.anchor[0]) + abs(fy - state.anchor[1])
-        cap = state.cap_ff + model._wire_cap(hop)
-        if cap >= model.config.scenario.cap_th_ff:
-            return False
-        path = (self._ff_arrival(ff_name) + delta_delay
-                + model._buf.delay_ps(cap)
-                + model._wire_delay(state.max_span_um + hop,
-                                    model._mux.input_cap("B")))
-        return path + PREDICTION_MARGIN_PS <= state.min_required_ps
+        ff = model.ff_record(ff_name)
+        go, launch = model._q_side(ff.arrival_ps, ff.q_slack_ps,
+                                   ff.resistance,
+                                   self._extra_q_cap.get(ff_name, 0.0))
+        return go and model._inbound_adopt_ok(
+            launch, state.cap_ff, state.min_required_ps, state.max_span_um,
+            self._hop(ff, state))
 
     def outbound_adoption_feasible(self, ff_name: str,
                                    state: CliqueTimingState) -> bool:
@@ -502,33 +633,13 @@ class FfReuseLedger:
             return False
         if not model._timed:
             return True
-        netlist = model.problem.netlist
-        ff = netlist.instance(ff_name)
-        d_net = ff.connections.get("D")
-        if d_net is None:
-            return False
-        mux_penalty = model._mux_delay(model._sdff.input_cap("D"))
-        delta = (model._xor.input_cap("A") + model._mux.input_cap("A")
-                 - model._sdff.input_cap("D"))
-        d_slow = model._driver_resistance(d_net) * max(delta, 0.0)
-        d_slack = min(model.timing.slack_of_net(d_net),
-                      model.test_timing.slack_of_net(d_net))
-        if d_slack < mux_penalty + d_slow + PREDICTION_MARGIN_PS:
-            return False
-        fx, fy = model.problem.location_of(ff_name)
-        hop = abs(fx - state.anchor[0]) + abs(fy - state.anchor[1])
-        delta = (model._xor.input_cap("A") + model._mux.input_cap("A")
-                 - model._sdff.input_cap("D"))
-        probe = CliqueTimingState(
-            kind=state.kind, members=state.members, anchor=state.anchor,
-            has_ff=True, worst_arrival_ps=state.worst_arrival_ps,
-            worst_member_resistance=state.worst_member_resistance,
-            max_span_um=state.max_span_um,
-            ff_d_arrival_ps=model.test_timing.arrival_ps.get(d_net, 0.0),
-            ff_d_slowdown_ps=model._driver_resistance(d_net)
-            * max(delta, 0.0),
-        )
-        return model.outbound_capture_ok(probe, hop)
+        ff = model.ff_record(ff_name)
+        # The adoption probe carries no member slack, so the tap
+        # slowdown test that TSV-TSV merges apply is skipped here.
+        return ff.d_ok and model._outbound_capture_ok(
+            state.worst_arrival_ps, state.worst_member_resistance, INF,
+            ff.d_source_ps, max(1, len(state.members)),
+            state.max_span_um + self._hop(ff, state))
 
     # ------------------------------------------------------------------
     def adoption_feasible(self, ff_name: str, state: CliqueTimingState

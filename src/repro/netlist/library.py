@@ -177,8 +177,10 @@ class CellType:
         return pin.cap_ff
 
     def delay_ps(self, load_ff: float) -> float:
-        """First-order cell delay under *load_ff* femtofarads of load."""
-        return self.intrinsic_delay_ps + self.drive_resistance * max(load_ff, 0.0)
+        """First-order cell delay under *load_ff* femtofarads of load
+        (a negative load counts as 0)."""
+        return (self.intrinsic_delay_ps
+                + self.drive_resistance * (0.0 if load_ff < 0.0 else load_ff))
 
     @property
     def data_input_pins(self) -> List[CellPin]:

@@ -27,20 +27,23 @@ class WireModel:
     c_ff_per_um: float = 0.25
     enabled: bool = True
 
+    # Negative lengths and loads clamp to 0 with a conditional rather
+    # than max(x, 0.0): the same value (x is kept unless x < 0), and
+    # much cheaper in the sharing graph's per-pair timing checks.
     def wire_cap_ff(self, length_um: float) -> float:
         """Capacitance the driver sees from the wire itself."""
         if not self.enabled:
             return 0.0
-        return self.c_ff_per_um * max(length_um, 0.0)
+        return self.c_ff_per_um * (0.0 if length_um < 0.0 else length_um)
 
     def wire_delay_ps(self, length_um: float, load_ff: float) -> float:
         """Elmore delay of a wire of *length_um* into *load_ff*."""
         if not self.enabled:
             return 0.0
-        length = max(length_um, 0.0)
+        length = 0.0 if length_um < 0.0 else length_um
         resistance = self.r_ohm_per_um * length
         distributed = 0.5 * resistance * self.c_ff_per_um * length
-        lumped = resistance * max(load_ff, 0.0)
+        lumped = resistance * (0.0 if load_ff < 0.0 else load_ff)
         return (distributed + lumped) * _OHM_FF_TO_PS
 
 

@@ -18,9 +18,9 @@ from repro.atpg.podem import PodemGenerator
 from repro.atpg.sim import CompiledCircuit
 from repro.atpg.transition import build_transition_faults
 from repro.core.clique import CliquePartition, partition_cliques
-from repro.core.config import WcmConfig
+from repro.core.config import Scenario, WcmConfig
 from repro.core.graph import WcmGraph, build_wcm_graph
-from repro.core.problem import WcmProblem
+from repro.core.problem import WcmProblem, tight_clock_for
 from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import ReuseTimingModel
 from repro.dft.testview import TestView, build_prebond_test_view
@@ -34,6 +34,7 @@ from repro.verify.oracles import (
     exhaustive_input_words,
     oracle_build_graph,
     oracle_detect_word,
+    oracle_pair_feasible,
     oracle_simulate,
     oracle_sta,
     partition_violations,
@@ -322,6 +323,53 @@ def check_graph(subject: Subject) -> List[str]:
                               grid, brute)
         out += _compare_graph(f"graph[{kind.name}] kernel-vs-oracle",
                               grid, oracle)
+    return out
+
+
+#: divergences reported per (method, scenario, kind) before summarizing
+_PAIR_KERNEL_REPORT = 3
+
+
+def check_pair_kernel(subject: Subject) -> List[str]:
+    """Per-node records and pair kernels (through
+    ``ReuseTimingModel.pair_feasible``) vs the scalar
+    :func:`oracle_pair_feasible`, on every FF-TSV and TSV-TSV pair of
+    both directions, asked in both argument orders, for both methods
+    under the tight and the area scenario."""
+    out: List[str] = []
+    problem = subject.problem
+    if not problem.timing.constraint.is_constrained:
+        problem = problem.retime(tight_clock_for(problem))
+    scenarios = (Scenario.performance_optimized(
+        problem.timing.constraint.period_ps), Scenario.area_optimized())
+    ffs = list(problem.scan_ffs)
+    for scenario in scenarios:
+        for make_config in (WcmConfig.ours, WcmConfig.agrawal):
+            config = make_config(scenario)
+            model = ReuseTimingModel(problem, config)
+            for kind in _TSV_KINDS:
+                tsvs = problem.tsvs_of_kind(kind)
+                pairs = [(a, b, False, False) for i, a in enumerate(tsvs)
+                         for b in tsvs[i + 1:]]
+                pairs += [(ff, tsv, True, False) for ff in ffs
+                          for tsv in tsvs]
+                bad = []
+                for a, b, a_is_ff, b_is_ff in pairs:
+                    for args in ((a, b, kind, a_is_ff, b_is_ff),
+                                 (b, a, kind, b_is_ff, a_is_ff)):
+                        kernel = model.pair_feasible(*args)
+                        oracle = oracle_pair_feasible(problem, config,
+                                                      *args)
+                        if kernel != oracle:
+                            bad.append(f"{args[0]}~{args[1]}: "
+                                       f"kernel={kernel} oracle={oracle}")
+                label = (f"pair-kernel[{config.method}/{scenario.name}/"
+                         f"{kind.name}]")
+                out += [f"{label} {line}"
+                        for line in bad[:_PAIR_KERNEL_REPORT]]
+                if len(bad) > _PAIR_KERNEL_REPORT:
+                    out.append(f"{label} +{len(bad) - _PAIR_KERNEL_REPORT}"
+                               f" more divergent pair(s)")
     return out
 
 
@@ -715,6 +763,7 @@ CHECKS: Dict[str, Callable[[Subject], List[str]]] = {
     "sta": check_sta,
     "sta-reuse": check_sta_reuse,
     "graph": check_graph,
+    "pair-kernel": check_pair_kernel,
     "clique": check_clique,
     "meta-isometry": check_metamorphic_isometry,
     "meta-thresholds": check_metamorphic_thresholds,

@@ -182,7 +182,9 @@ def _checks_of(divergences: List[str]) -> List[str]:
         for name, prefix in (("sim", "sim"), ("faults", "fault"),
                              ("podem", "podem"),
                              ("sta-reuse", "sta[reuse"), ("sta", "sta"),
-                             ("graph", "graph"), ("clique", "clique"),
+                             ("graph", "graph"),
+                             ("pair-kernel", "pair-kernel"),
+                             ("clique", "clique"),
                              ("meta-isometry", "meta[rotate"),
                              ("meta-isometry", "meta[mirror"),
                              ("meta-thresholds", "meta[thresholds"),

@@ -182,6 +182,27 @@ def _mutant_podem_stale_faulty() -> Iterator[None]:
         podem.PodemGenerator._undo_to = original
 
 
+@contextlib.contextmanager
+def _mutant_pair_kernel_hop_wire() -> Iterator[None]:
+    """The FF-TSV pair kernels see a zero-length FF hop: they drop the
+    hop's wire load and delay and admit FFs too far from their TSV."""
+    from repro.core import timing_model
+
+    original = timing_model.ReuseTimingModel.pair_kernel
+
+    def hopless(self, kind, ff_pair):
+        kernel = original(self, kind, ff_pair)
+        if not ff_pair:
+            return kernel
+        return lambda ff, tsv, _hop_um: kernel(ff, tsv, 0.0)
+
+    timing_model.ReuseTimingModel.pair_kernel = hopless
+    try:
+        yield
+    finally:
+        timing_model.ReuseTimingModel.pair_kernel = original
+
+
 #: name -> (description, contextmanager factory)
 MUTANTS: Dict[str, tuple] = {
     "sim-opcode-swap": ("op-tape compiles AND2 as OR2",
@@ -202,6 +223,8 @@ MUTANTS: Dict[str, tuple] = {
                               _mutant_schedule_fill_longest),
     "podem-stale-faulty": ("PODEM backtracking leaves faulty values stale",
                            _mutant_podem_stale_faulty),
+    "pair-kernel-hop-wire": ("FF-TSV pair kernels drop the FF hop's wire",
+                             _mutant_pair_kernel_hop_wire),
 }
 
 

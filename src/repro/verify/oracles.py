@@ -22,6 +22,9 @@ context (``sta/timer.py``)      over the netlist, all loads and wire
 grid-indexed sharing-graph      O(n^2) sweep over all pairs with
 sweep (``core/graph.py``)       frozenset cone intersection (no
                                 spatial hash, no bitsets)
+per-node timing records and     scalar transcription of each pair
+pair kernels                    formula, every input read from the
+(``core/timing_model.py``)      problem per call (no records/caches)
 heuristic clique partition      exact minimum clique partition by
 (``core/clique.py``)            branch-and-bound (small instances) —
                                 a lower bound on any valid partition
@@ -49,7 +52,7 @@ from repro.core.config import WcmConfig
 from repro.core.graph import GraphStats, WcmGraph, effective_d_th
 from repro.core.problem import WcmProblem
 from repro.core.testability import OverlapTestabilityEstimator
-from repro.core.timing_model import ReuseTimingModel
+from repro.core.timing_model import PREDICTION_MARGIN_PS, ReuseTimingModel
 from repro.dft.testview import TestView
 from repro.netlist.core import Instance, Netlist, PortDirection, PortKind
 from repro.netlist.library import LOGIC_FUNCTIONS
@@ -61,7 +64,7 @@ from repro.sta.timer import (
     TimingResult,
     _UNTIMED_PORT_KINDS,
 )
-from repro.util.errors import TimingError
+from repro.util.errors import ConfigError, TimingError
 
 INF = math.inf
 _X = 2
@@ -538,6 +541,153 @@ def oracle_sta(netlist: Netlist, constraint: ClockConstraint = UNCONSTRAINED,
 
 
 # ---------------------------------------------------------------------------
+# Scalar pair timing verdicts
+# ---------------------------------------------------------------------------
+def oracle_pair_feasible(problem: WcmProblem, config: WcmConfig,
+                         name_a: str, name_b: str, kind: PortKind,
+                         a_is_ff: bool, b_is_ff: bool) -> bool:
+    """Algorithm 1's timing verdict for one pair, written out scalar by
+    scalar: every input is read from the problem on the spot, with no
+    per-node record, cache or pair kernel, and every float expression
+    keeps the order of the model's published formulas (DESIGN.md §4).
+    It shares only the cell and wire leaf arithmetic with
+    :class:`~repro.core.timing_model.ReuseTimingModel`."""
+    if a_is_ff and b_is_ff:
+        return False
+    if b_is_ff:
+        name_a, name_b = name_b, name_a
+    ff_pair = a_is_ff or b_is_ff
+    netlist = problem.netlist
+    timing, test_timing = problem.timing, problem.test_timing
+    library = netlist.library
+    mux, xor = library.get("MUX2_X1"), library.get("XOR2_X1")
+    buf, sdff = library.get("BUF_X2"), library.get("SDFF_X1")
+    scenario = config.scenario
+    timed = scenario.is_timed
+    use_wire = config.use_wire_delay and timed
+    wire = WireModel()
+    margin = PREDICTION_MARGIN_PS
+
+    def wire_cap(length: float) -> float:
+        return wire.wire_cap_ff(length) if use_wire else 0.0
+
+    def wire_delay(length: float, load: float) -> float:
+        return wire.wire_delay_ps(length, load) if use_wire else 0.0
+
+    def tsv_net(tsv: str) -> str:
+        net = netlist.port(tsv).net
+        if net is None:
+            raise ConfigError(f"TSV {tsv} unconnected")
+        return net
+
+    def driver_resistance(net_name: str) -> float:
+        driver = netlist.net(net_name).driver
+        if driver is None or driver.is_port:
+            return 0.0
+        return netlist.instance(driver.owner_name).cell.drive_resistance
+
+    def model_load(tsv: str) -> float:
+        port = netlist.port(tsv)
+        total = 0.0
+        for sink in netlist.net(tsv_net(tsv)).sinks:
+            if sink.is_port or sink.pin_name in _NON_DATA_PINS:
+                continue
+            inst = netlist.instance(sink.owner_name)
+            total += inst.cell.input_cap(sink.pin_name)
+            if use_wire:
+                total += wire.wire_cap_ff(abs(port.x - inst.x)
+                                          + abs(port.y - inst.y))
+        return total
+
+    ax, ay = problem.location_of(name_a)
+    bx, by = problem.location_of(name_b)
+    distance = abs(ax - bx) + abs(ay - by)
+    period = scenario.clock.period_ps
+    ff_required = (period - scenario.clock.setup_ps
+                   if period is not None else INF)
+    mux_d_delay = mux.delay_ps(sdff.input_cap("D"))
+
+    if kind is PortKind.TSV_INBOUND and ff_pair:
+        # The FF's Q drives a group buffer placed at the FF; the buffer
+        # drives the TSV's test mux across the hop.
+        if not timed:
+            return True
+        ff = netlist.instance(name_a)
+        q_net = ff.output_net()
+        delta_delay = ff.cell.drive_resistance * (0.0 + buf.input_cap("A"))
+        if timing.slack_of_net(q_net) < delta_delay + margin:
+            return False
+        required = INF
+        mux_out = problem.tsv_mux_out.get(name_b)
+        if mux_out is not None:
+            required = test_timing.required_ps.get(mux_out, INF)
+            if required is not INF:
+                required = required - mux.delay_ps(
+                    test_timing.load_of_net(mux_out))
+        if required is INF:
+            return True
+        hop = distance
+        cap = mux.input_cap("B") + wire_cap(hop)
+        if cap >= scenario.cap_th_ff:
+            return False
+        path = (timing.arrival_ps.get(q_net, 0.0) + delta_delay
+                + buf.delay_ps(cap)
+                + wire_delay(0.0 + hop, mux.input_cap("B")))
+        return path + margin <= required
+
+    if kind is PortKind.TSV_INBOUND:
+        # Two TSVs' sink loads, two mux pins and the coupling wire on
+        # one group buffer.
+        if scenario.cap_th_ff is INF:
+            return True
+        total = (model_load(name_a) + model_load(name_b)
+                 + 2 * mux.input_cap("B") + wire_cap(distance))
+        return total < scenario.cap_th_ff
+
+    if ff_pair:
+        # The FF's D joins an XOR tap on the TSV net in front of a test
+        # mux; the functional D path gains the mux and the re-pinning.
+        if not timed:
+            return True
+        ff = netlist.instance(name_a)
+        d_net = ff.connections.get("D")
+        if d_net is None:
+            return False
+        repin = (xor.input_cap("A") + mux.input_cap("A")
+                 - sdff.input_cap("D"))
+        d_slow = driver_resistance(d_net) * max(repin, 0.0)
+        d_slack = min(timing.slack_of_net(d_net),
+                      test_timing.slack_of_net(d_net))
+        if d_slack < mux_d_delay + d_slow + margin:
+            return False
+        net = tsv_net(name_b)
+        span = 0.0 + distance
+        tap_cap = xor.input_cap("B") + wire_cap(span)
+        slowdown = driver_resistance(net) * tap_cap
+        member_slack = INF  # the adoption probe carries no member slack
+        if slowdown + margin > member_slack:
+            return False
+        member_source = (test_timing.arrival_ps.get(net, 0.0) + slowdown
+                         + wire_delay(span, xor.input_cap("B")))
+        d_source = test_timing.arrival_ps.get(d_net, 0.0) + d_slow
+        capture = (max(member_source, d_source)
+                   + 1 * xor.delay_ps(xor.input_cap("A")) + mux_d_delay)
+        return ff_required - capture > scenario.s_th_ps + margin
+
+    # Two outbound TSVs folded into one XOR chain behind a test mux.
+    if not timed:
+        return True
+    worst = 0.0
+    for tsv in (name_a, name_b):
+        arrival = (timing.arrival_ps.get(tsv_net(tsv), 0.0)
+                   + wire_delay(distance, xor.input_cap("B"))
+                   + 2 * xor.delay_ps(xor.input_cap("A"))
+                   + mux_d_delay)
+        worst = max(worst, arrival)
+    return ff_required - worst > scenario.s_th_ps + margin
+
+
+# ---------------------------------------------------------------------------
 # Brute-force O(n^2) sharing graph
 # ---------------------------------------------------------------------------
 def oracle_build_graph(problem: WcmProblem, kind: PortKind,
@@ -547,9 +697,11 @@ def oracle_build_graph(problem: WcmProblem, kind: PortKind,
                        ) -> WcmGraph:
     """Algorithm 1 without the kernels: every pair visited explicitly
     (no spatial hash), cone overlap via frozenset intersection (no
-    bitsets), distances straight from coordinates (no memo).
+    bitsets), distances straight from coordinates (no memo), timing
+    verdicts from :func:`oracle_pair_feasible` (no records, no pair
+    kernel).
 
-    Shares the :class:`ReuseTimingModel` feasibility leaf with the
+    Shares the node filters of :class:`ReuseTimingModel` with the
     kernel — pass a *fresh* model/estimator so their internal caches
     start empty; the pair visit order matches the kernel's, so two
     fresh estimators see identical call sequences.
@@ -589,7 +741,8 @@ def oracle_build_graph(problem: WcmProblem, kind: PortKind,
             if abs(ax - bx) + abs(ay - by) >= d_th:
                 stats.rejected_distance += 1
                 return
-        if not model.pair_feasible(name_a, name_b, kind, a_is_ff, False):
+        if not oracle_pair_feasible(problem, config, name_a, name_b, kind,
+                                    a_is_ff, False):
             stats.rejected_timing += 1
             return
         if not (cones[name_a] & cones[name_b]):

@@ -129,6 +129,15 @@ _BAD_INPUTS = {
     "scale-zero-points": ["scale", "--gates", "1e3:1e4:0", "--out", "-"],
     "scale-bad-density": ["scale", "--gates", "1000",
                           "--tsv-density", "dense", "--out", "-"],
+    "scale-negative-sta-cap": ["scale", "--gates", "1000",
+                               "--sta-cap", "-5", "--out", "-"],
+    "scale-negative-flow-cap": ["scale", "--gates", "1000",
+                                "--flow-cap", "-5", "--out", "-"],
+    "fuzz-negative-budget": ["fuzz", "--budget", "-1"],
+    "fuzz-zero-budget": ["fuzz", "--budget", "0"],
+    "fuzz-zero-budget-self-check": ["fuzz", "--self-check",
+                                    "--budget", "0"],
+    "fuzz-negative-seconds": ["fuzz", "--seconds", "-3"],
 }
 
 

@@ -78,6 +78,8 @@ def test_checks_of_maps_divergence_prefixes():
     assert _checks_of(["sta[test]: bad"]) == ["sta"]
     assert _checks_of(["fault OBS_BRANCH sa0"]) == ["faults"]
     assert _checks_of(["podem: g1 s-a-0 reported untestable"]) == ["podem"]
+    assert _checks_of(["pair-kernel[ours/tight/TSV_INBOUND] f~t: x"]) \
+        == ["pair-kernel"]
     assert _checks_of(["meta[rotate90][TSV_INBOUND]: x"]) \
         == ["meta-isometry"]
     assert _checks_of(["build: TimingError: boom"]) == ["sim"]
@@ -174,6 +176,15 @@ def test_self_check_kills_podem_mutant():
                          mutant_names=["podem-stale-faulty"])
     assert results[0].killed, results
     assert results[0].evidence.startswith("podem:")
+
+
+def test_self_check_kills_pair_kernel_mutant():
+    """A kernel that ignores the FF hop's wire admits pairs the scalar
+    oracle rejects."""
+    results = self_check(root_seed=0, budget=8, checks=["pair-kernel"],
+                         mutant_names=["pair-kernel-hop-wire"])
+    assert results[0].killed, results
+    assert results[0].evidence.startswith("pair-kernel[")
 
 
 def test_self_check_mutants_do_not_leak():
