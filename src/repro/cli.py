@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -229,6 +230,29 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+#: domains of numeric flags: (membership test, what the error asks for)
+_AT_LEAST_ONE = (lambda v: v >= 1, "an integer >= 1")
+_NON_NEGATIVE_INT = (lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_NON_NEGATIVE = (lambda v: math.isfinite(v) and v >= 0,
+                 "a finite number >= 0")
+
+
+def _check_value(flag: str, value, domain) -> None:
+    """Reject *value* of *flag* outside *domain* with a
+    :class:`ConfigError` naming the flag (``None`` means not given)."""
+    test, wanted = domain
+    if value is not None and not test(value):
+        raise ConfigError(f"{flag} must be {wanted}, got {value}")
+
+
+def _check_flags(args: argparse.Namespace, domain, *flags: str) -> None:
+    """:func:`_check_value` for each of *flags* as parsed into *args*."""
+    for flag in flags:
+        _check_value(flag, getattr(args, flag.lstrip("-").replace("-", "_")),
+                     domain)
+
+
 def _common_options() -> argparse.ArgumentParser:
     """Options shared by the root parser and every subcommand.
 
@@ -279,11 +303,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     seed = getattr(args, "seed", 0) or 0
     # A budget that runs no iteration would report a clean pass.
-    if args.budget is not None and args.budget < 1:
-        raise ConfigError(f"--budget must be at least 1 iteration, "
-                          f"got {args.budget}")
-    if args.seconds is not None and not args.seconds > 0:
-        raise ConfigError(f"--seconds must be positive, got {args.seconds}")
+    _check_flags(args, _AT_LEAST_ONE, "--budget")
+    _check_flags(args, _POSITIVE, "--seconds")
     checks = ([c for c in args.checks.split(",") if c]
               if args.checks else None)
     if args.self_check:
@@ -323,14 +344,13 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     from repro.bench.scaling import (ScalingCaps, parse_gate_points,
                                      run_scaling, write_scaling_json)
 
+    _check_flags(args, _AT_LEAST_ONE, "--repeat")
+    _check_flags(args, _NON_NEGATIVE_INT, "--sta-cap", "--flow-cap")
     families = [f for f in args.families.split(",") if f]
     gate_points = parse_gate_points(args.gates)
     densities = [float(d) for d in args.tsv_density.split(",") if d]
-    for flag, cap in (("--sta-cap", args.sta_cap),
-                      ("--flow-cap", args.flow_cap)):
-        if cap is not None and cap < 0:
-            raise ConfigError(f"{flag} must be a gate count >= 0 "
-                              f"(0 disables the cap), got {cap}")
+    for density in densities:
+        _check_value("--tsv-density", density, _POSITIVE)
     caps = ScalingCaps()
     if args.sta_cap is not None:
         caps = dataclasses.replace(
@@ -356,6 +376,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     from repro.runtime import trace
     from repro.schedule import run_schedule
 
+    _check_flags(args, _AT_LEAST_ONE, "--tam", "--width", "--fixed-patterns")
     scale = resolve_scale(getattr(args, "scale", None))
     print(scale_banner(scale))
     seed = getattr(args, "seed", None)
@@ -549,6 +570,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.queue import AdmissionPolicy
     from repro.serve.server import WcmServer
 
+    _check_flags(args, _AT_LEAST_ONE, "--serve-workers", "--max-attempts",
+                 "--breaker-threshold", "--cap-interactive", "--cap-normal",
+                 "--cap-batch")
+    _check_flags(args, _POSITIVE, "--job-timeout", "--default-deadline")
     policy = AdmissionPolicy(
         queue_caps=(args.cap_interactive, args.cap_normal, args.cap_batch),
         max_attempts=args.max_attempts,
@@ -607,6 +632,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.serve.client import (ServeClient, ServeUnavailable,
                                     socket_path_for)
 
+    _check_flags(args, _POSITIVE, "--deadline", "--wait-timeout")
     params = _parse_job_params(args.params)
     client = ServeClient(socket_path_for(args.state_dir))
     try:
@@ -659,6 +685,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.runtime import trace
 
+    _check_flags(args, _NON_NEGATIVE, "--tolerance")
     if args.action == "show":
         payload = trace.load_manifest(args.paths[0])
         print(trace.render_manifest(payload))
@@ -684,6 +711,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_bench_gate(args: argparse.Namespace) -> int:
     from repro.runtime import trace
 
+    _check_flags(args, _NON_NEGATIVE, "--tolerance")
     ok, lines = trace.gate(args.candidate, args.golden,
                            tolerance_pct=args.tolerance)
     for line in lines:
@@ -691,7 +719,8 @@ def _cmd_bench_gate(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser with every subcommand."""
     common = _common_options()
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -931,7 +960,11 @@ def main(argv=None) -> int:
                               metavar="PCT",
                               help="allowed timing regression percent "
                                    "(default 10)")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         configure(jobs=getattr(args, "jobs", None),
@@ -943,7 +976,8 @@ def main(argv=None) -> int:
                   checkpoint_dir=getattr(args, "checkpoint_dir", None),
                   trace_dir=getattr(args, "trace_dir", None))
     except ConfigError as exc:
-        parser.error(str(exc))
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
     scale_name = getattr(args, "scale", None)
     verbose = getattr(args, "verbose", False)

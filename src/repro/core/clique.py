@@ -10,6 +10,15 @@ neighbourhood is the *intersection* of the two neighbourhoods (keeping
 the partition's clique invariant); otherwise delete the edge. Stop when
 no edges remain.
 
+Selection rule (DESIGN.md §4): n1 is popped from a lazy min-degree heap
+of ``(degree, id)`` whose stale entries are re-pushed with the current
+degree; n2 is the minimum ``(degree, id)`` among the ``SAMPLE`` (64)
+smallest neighbour ids of n1. That sample is carried across rejected
+merges (:class:`_NeighbourSample`) and rebuilt only when a different n1
+is picked or a merge happens, which chooses exactly what a fresh
+``heapq.nsmallest`` per iteration would
+(:func:`repro.verify.oracles.oracle_partition_cliques`).
+
 Minimizing cliques minimizes additional wrapper cells: every clique
 without a scan FF needs one new cell, and the number of FF cliques is
 fixed.
@@ -107,6 +116,65 @@ def _merged_state_fn(model: ReuseTimingModel,
     return merged
 
 
+#: n2 is chosen among the SAMPLE smallest neighbour ids of n1
+SAMPLE = 64
+
+
+class _NeighbourSample:
+    """The current n1's ``SAMPLE`` smallest neighbour ids, as a heap of
+    ``(degree, id)`` whose top is n2.
+
+    A rejected merge of (n1, n2) changes the degree of n1 and n2 only;
+    n1 is not in its own sample and n2 leaves it, so every key left in
+    the heap is still exact. Popping n2 and pushing n1's next
+    neighbour id keeps the sample equal to a fresh one, so it is
+    carried until a different n1 is picked or a merge changes the
+    neighbourhoods.
+    """
+
+    __slots__ = ("adjacency", "degree", "owner", "heap", "ids", "cursor")
+
+    def __init__(self, adjacency: List[Optional[Set[int]]],
+                 degree: List[int]) -> None:
+        self.adjacency = adjacency
+        self.degree = degree
+        self.owner = -1
+        self.heap: List[Tuple[int, int]] = []
+        #: the owner's neighbour ids, ascending, when the sample was built
+        self.ids: List[int] = []
+        #: position in ``ids`` of the next id to sample
+        self.cursor = 0
+
+    def pick(self, n1: int) -> int:
+        """n2: the minimum (degree, id) among n1's sampled ids."""
+        if n1 != self.owner:
+            ids = sorted(self.adjacency[n1])
+            degree = self.degree
+            heap = [(degree[c], c) for c in ids[:SAMPLE]]
+            heapq.heapify(heap)
+            self.heap, self.ids, self.cursor = heap, ids, len(heap)
+            self.owner = n1
+        return self.heap[0][1]
+
+    def rejected(self) -> None:
+        """The owner lost its edge to the heap top: replace the top by
+        the owner's next neighbour id, if any. While the sample is
+        carried only sampled ids lose their edge to the owner, so the
+        ids past the cursor are neighbours still."""
+        ids = self.ids
+        if self.cursor < len(ids):
+            nxt = ids[self.cursor]
+            heapq.heapreplace(self.heap, (self.degree[nxt], nxt))
+            self.cursor += 1
+        else:
+            heapq.heappop(self.heap)
+
+    def merged(self, new_id: int) -> None:  # noqa: ARG002
+        """The owner merged into *new_id*: its neighbours' degrees
+        changed, so the next pick builds a fresh sample."""
+        self.owner = -1
+
+
 def partition_cliques(graph: WcmGraph, model: ReuseTimingModel,
                       merge_memo: Optional[Dict] = None
                       ) -> CliquePartition:
@@ -118,106 +186,107 @@ def partition_cliques(graph: WcmGraph, model: ReuseTimingModel,
     without it.
     """
     merged_state = _merged_state_fn(model, merge_memo)
-    # Clique state, keyed by an integer id.
-    members: Dict[int, List[str]] = {}
-    ff_of: Dict[int, Optional[str]] = {}
-    states: Dict[int, CliqueTimingState] = {}
-    adjacency: Dict[int, Set[int]] = {}
+    # Clique state, indexed by an integer id; a merged-away clique's
+    # adjacency is None.
+    members: List[List[str]] = []
+    ff_of: List[Optional[str]] = []
+    states: List[Optional[CliqueTimingState]] = []
+    adjacency: List[Optional[Set[int]]] = [None] * len(graph.nodes)
 
     id_of_node: Dict[str, int] = {}
     for index, name in enumerate(graph.nodes):
         id_of_node[name] = index
-        if graph.is_ff[name]:
-            members[index] = []
-            ff_of[index] = name
-        else:
-            members[index] = [name]
-            ff_of[index] = None
-        states[index] = model.initial_state(name, graph.kind,
-                                            graph.is_ff[name])
+        is_ff = graph.is_ff[name]
+        members.append([] if is_ff else [name])
+        ff_of.append(name if is_ff else None)
+        states.append(model.initial_state(name, graph.kind, is_ff))
     for name, neighbours in graph.adjacency.items():
         adjacency[id_of_node[name]] = {id_of_node[n] for n in neighbours}
+    degree = [len(neigh) if neigh else 0 for neigh in adjacency]
+    sample = _NeighbourSample(adjacency, degree)
 
-    next_id = len(graph.nodes)
     rejected = 0
     merges = 0
 
     # Lazy min-degree heap over (degree, id).
     heap: List[Tuple[int, int]] = [
-        (len(neigh), cid) for cid, neigh in adjacency.items() if neigh
+        (d, cid) for cid, d in enumerate(degree) if d
     ]
     heapq.heapify(heap)
 
+    heappush, heappop = heapq.heappush, heapq.heappop
+
     def push(cid: int) -> None:
-        degree = len(adjacency[cid])
-        if degree:
-            heapq.heappush(heap, (degree, cid))
+        if degree[cid]:
+            heappush(heap, (degree[cid], cid))
 
     while heap:
-        degree, n1 = heapq.heappop(heap)
-        if n1 not in adjacency:
+        popped, n1 = heappop(heap)
+        neigh1 = adjacency[n1]
+        if neigh1 is None:
             continue  # stale: merged away
-        current = len(adjacency[n1])
+        current = degree[n1]
         if current == 0:
             continue
-        if degree != current:
-            heapq.heappush(heap, (current, n1))
+        if popped != current:
+            heappush(heap, (current, n1))
             continue
 
-        # Minimum-degree neighbour (sampled when the neighbourhood is
-        # huge; exact min over thousands of candidates per iteration
-        # would make dense graphs quadratic).
-        neighbours = adjacency[n1]
-        if len(neighbours) <= 64:
-            n2 = min(neighbours, key=lambda c: (len(adjacency[c]), c))
-        else:
-            # The sample must not depend on set-iteration order (clique
-            # ids are ints, but "first 64 seen" still tracks insertion
-            # history); take the 64 smallest ids — deterministic and
-            # O(n log 64).
-            sample = heapq.nsmallest(64, neighbours)
-            n2 = min(sample, key=lambda c: (len(adjacency[c]), c))
+        # Minimum-degree neighbour among the SAMPLE smallest neighbour
+        # ids (an exact min over thousands of candidates per iteration
+        # would make dense graphs quadratic; smallest ids, not "first
+        # seen", so the choice never depends on set iteration order).
+        n2 = sample.pick(n1)
+        neigh2 = adjacency[n2]
 
         merged = merged_state(states[n1], states[n2])
         if merged is None:
             rejected += 1
-            adjacency[n1].discard(n2)
-            adjacency[n2].discard(n1)
+            neigh1.discard(n2)
+            neigh2.discard(n1)
+            degree[n1] = len(neigh1)
+            degree[n2] = len(neigh2)
             push(n1)
             push(n2)
+            sample.rejected()
             continue
 
         # Merge n1 and n2 into n'.
         merges += 1
-        new_id = next_id
-        next_id += 1
-        common = (adjacency[n1] & adjacency[n2]) - {n1, n2}
-        members[new_id] = members[n1] + members[n2]
-        ff_of[new_id] = ff_of[n1] or ff_of[n2]
-        states[new_id] = merged
-        adjacency[new_id] = set(common)
+        new_id = len(adjacency)
+        common = (neigh1 & neigh2) - {n1, n2}
+        members.append(members[n1] + members[n2])
+        ff_of.append(ff_of[n1] or ff_of[n2])
+        states.append(merged)
+        adjacency.append(set(common))
+        degree.append(len(common))
 
-        for cid in adjacency[n1]:
-            if cid not in (n1, n2):
+        # Adjacency is symmetric, so every neighbour loses one edge.
+        for cid in neigh1:
+            if cid != n1 and cid != n2:
                 adjacency[cid].discard(n1)
-        for cid in adjacency[n2]:
-            if cid not in (n1, n2):
+                degree[cid] -= 1
+        for cid in neigh2:
+            if cid != n1 and cid != n2:
                 adjacency[cid].discard(n2)
+                degree[cid] -= 1
         for cid in common:
             adjacency[cid].add(new_id)
-            push(cid)
-        del adjacency[n1], adjacency[n2]
-        del states[n1], states[n2]
+            degree[cid] += 1
+            heappush(heap, (degree[cid], cid))
+        adjacency[n1] = adjacency[n2] = None
+        states[n1] = states[n2] = None
         push(new_id)
+        sample.merged(new_id)
         # Nodes that lost an edge need their heap entries refreshed.
         # (Stale entries are skipped lazily on pop.)
 
     cliques: List[Clique] = []
-    for cid, member_list in members.items():
-        if cid not in adjacency:
+    for cid, member_list in enumerate(members):
+        if adjacency[cid] is None:
             continue  # merged away
         cliques.append(Clique(kind=graph.kind, tsvs=list(member_list),
-                              ff=ff_of[cid], state=states.get(cid)))
+                              ff=ff_of[cid], state=states[cid]))
 
     rescued = _absorb_singletons(graph, merged_state, cliques)
     merges += rescued

@@ -34,6 +34,7 @@ explicit value): ``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -138,9 +139,9 @@ def configure(jobs: Optional[int] = None,
     if timeout_s is None:
         timeout_s = _env_timeout()
     if timeout_s is not None:
-        if timeout_s < 0:
-            raise ConfigError(f"timeout must be >= 0 seconds, "
-                              f"got {timeout_s}")
+        if not (math.isfinite(timeout_s) and timeout_s >= 0):
+            raise ConfigError(f"timeout must be a finite number >= 0 "
+                              f"seconds, got {timeout_s}")
         # 0 explicitly switches the per-cell budget off
         _CONFIG.timeout_s = timeout_s or None
     if retries is None:

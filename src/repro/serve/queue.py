@@ -43,6 +43,7 @@ robustness behavior is unit-testable with a fake clock:
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -62,6 +63,7 @@ from repro.serve.protocol import (
     TERMINAL_STATES,
     job_fingerprint,
 )
+from repro.util.errors import ConfigError
 
 #: journal record schema; bump on incompatible change
 JOURNAL_VERSION = 1
@@ -93,6 +95,23 @@ class AdmissionPolicy:
     breaker_probe_interval: int = 4
     #: deadline applied when the client sends none (None = unbounded)
     default_deadline_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        counts = dict(zip(("interactive", "normal", "batch"),
+                          self.queue_caps))
+        counts.update(max_attempts=self.max_attempts,
+                      breaker_threshold=self.breaker_threshold,
+                      breaker_probe_interval=self.breaker_probe_interval)
+        for name, value in counts.items():
+            if value < 1:
+                raise ConfigError(f"admission policy: {name} must be "
+                                  f"at least 1, got {value}")
+        deadline = self.default_deadline_s
+        if deadline is not None and not (math.isfinite(deadline)
+                                         and deadline > 0):
+            raise ConfigError(f"admission policy: default_deadline_s "
+                              f"must be a finite number > 0, got "
+                              f"{deadline}")
 
     def cap_for(self, rank: int) -> int:
         return self.queue_caps[min(rank, len(self.queue_caps) - 1)]

@@ -36,6 +36,7 @@ crash => journal replay re-admits unfinished jobs on restart.
 
 from __future__ import annotations
 
+import math
 import multiprocessing.connection as mp_connection
 import os
 import socket
@@ -59,6 +60,7 @@ from repro.serve.protocol import (
     validate_priority,
 )
 from repro.serve.queue import AdmissionPolicy, JobJournal, JobQueue, JobRecord
+from repro.util.errors import ConfigError
 
 SOCKET_NAME = "serve.sock"
 JOURNAL_NAME = "queue.journal"
@@ -94,8 +96,14 @@ class WcmServer:
                  job_timeout_s: Optional[float] = None,
                  socket_timeout_s: float = 30.0,
                  seed: int = 0) -> None:
+        if workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {workers}")
+        if job_timeout_s is not None and not (math.isfinite(job_timeout_s)
+                                              and job_timeout_s > 0):
+            raise ConfigError(f"job_timeout_s must be a finite number "
+                              f"> 0, got {job_timeout_s}")
         self.state_dir = Path(state_dir)
-        self.workers_wanted = max(1, int(workers))
+        self.workers_wanted = workers
         self.policy = policy or AdmissionPolicy()
         self.job_timeout_s = job_timeout_s
         self.socket_timeout_s = socket_timeout_s
@@ -507,8 +515,9 @@ class WcmServer:
         deadline_s = message.get("deadline_s")
         if deadline_s is not None:
             deadline_s = float(deadline_s)
-            if deadline_s <= 0:
-                raise ProtocolError("deadline_s must be > 0")
+            if not (math.isfinite(deadline_s) and deadline_s > 0):
+                raise ProtocolError("deadline_s must be a finite number "
+                                    "> 0")
         try:
             job, verdict = self.queue.submit(
                 kind, params, priority=priority, deadline_s=deadline_s,

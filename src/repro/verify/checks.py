@@ -35,8 +35,10 @@ from repro.verify.oracles import (
     oracle_build_graph,
     oracle_detect_word,
     oracle_pair_feasible,
+    oracle_partition_cliques,
     oracle_simulate,
     oracle_sta,
+    partition_key,
     partition_violations,
 )
 
@@ -374,12 +376,26 @@ def check_pair_kernel(subject: Subject) -> List[str]:
 
 
 def check_clique(subject: Subject) -> List[str]:
-    """Partition validity (disjoint clique cover of the graph) plus the
-    branch-and-bound lower bound on small instances."""
+    """Partition validity (disjoint clique cover of the graph), the
+    branch-and-bound lower bound on small instances, and exact equality
+    with the reference Algorithm 2, with and without a merge memo (the
+    memo is run twice so the second run reads only memoized merges)."""
     out: List[str] = []
     for kind in _TSV_KINDS:
         graph = subject.kernel_graph(kind)
         partition = partition_cliques(graph, subject.fresh_model())
+        reference = partition_key(
+            oracle_partition_cliques(graph, subject.fresh_model()))
+        memo: Dict = {}
+        runs = [("no memo", partition),
+                ("cold memo", partition_cliques(
+                    graph, subject.fresh_model(), merge_memo=memo)),
+                ("warm memo", partition_cliques(
+                    graph, subject.fresh_model(), merge_memo=memo))]
+        for label, run in runs:
+            if partition_key(run) != reference:
+                out.append(f"clique[{kind.name}]: partition ({label}) "
+                           f"differs from the reference Algorithm 2")
         for violation in partition_violations(graph, partition,
                                               subject.config.max_group_size):
             out.append(f"clique[{kind.name}]: {violation}")

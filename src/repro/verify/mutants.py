@@ -203,6 +203,25 @@ def _mutant_pair_kernel_hop_wire() -> Iterator[None]:
         timing_model.ReuseTimingModel.pair_kernel = original
 
 
+@contextlib.contextmanager
+def _mutant_clique_stale_sample() -> Iterator[None]:
+    """A merge hands n1's carried neighbour sample to the merged
+    clique: its ids and degrees are pre-merge, so n2 can be a clique
+    that no longer exists or is no longer the minimum."""
+    from repro.core import clique
+
+    original = clique._NeighbourSample.merged
+
+    def carried(self, new_id: int) -> None:
+        self.owner = new_id
+
+    clique._NeighbourSample.merged = carried
+    try:
+        yield
+    finally:
+        clique._NeighbourSample.merged = original
+
+
 #: name -> (description, contextmanager factory)
 MUTANTS: Dict[str, tuple] = {
     "sim-opcode-swap": ("op-tape compiles AND2 as OR2",
@@ -225,6 +244,9 @@ MUTANTS: Dict[str, tuple] = {
                            _mutant_podem_stale_faulty),
     "pair-kernel-hop-wire": ("FF-TSV pair kernels drop the FF hop's wire",
                              _mutant_pair_kernel_hop_wire),
+    "clique-stale-sample": ("Algorithm 2 keeps its neighbour sample "
+                            "across a merge",
+                            _mutant_clique_stale_sample),
 }
 
 

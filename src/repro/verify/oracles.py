@@ -28,6 +28,10 @@ pair kernels                    formula, every input read from the
 heuristic clique partition      exact minimum clique partition by
 (``core/clique.py``)            branch-and-bound (small instances) —
                                 a lower bound on any valid partition
+carried neighbour sample of     Algorithm 2 with a fresh
+Algorithm 2                     ``nsmallest(64)`` sample and ``len``
+(``core/clique.py``)            degrees every iteration — the same
+                                partition, counters included
 ==============================  =====================================
 
 Contracts the oracles pin down (and the fuzzer cross-checks):
@@ -44,10 +48,18 @@ Contracts the oracles pin down (and the fuzzer cross-checks):
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.faults import Fault, FaultKind
+from repro.core.clique import (
+    Clique,
+    CliquePartition,
+    _absorb_singletons,
+    _merged_state_fn,
+    _state_key,
+)
 from repro.core.config import WcmConfig
 from repro.core.graph import GraphStats, WcmGraph, effective_d_th
 from repro.core.problem import WcmProblem
@@ -773,6 +785,127 @@ def oracle_build_graph(problem: WcmProblem, kind: PortKind,
     return WcmGraph(kind=kind, nodes=nodes, is_ff=is_ff,
                     adjacency=adjacency, excluded_tsvs=excluded,
                     stats=stats)
+
+
+# ---------------------------------------------------------------------------
+# Reference Algorithm 2 (a fresh neighbour sample every iteration)
+# ---------------------------------------------------------------------------
+def oracle_partition_cliques(graph: WcmGraph, model: ReuseTimingModel,
+                             merge_memo: Optional[Dict] = None
+                             ) -> CliquePartition:
+    """Algorithm 2 as first written: degrees read with ``len`` and n2
+    chosen afresh on every iteration from ``heapq.nsmallest(64, ...)``
+    of n1's neighbours. :func:`~repro.core.clique.partition_cliques`
+    carries that sample across rejected merges and must return the same
+    partition: clique order, ``tsvs`` order, FF, state and all three
+    counters. Shares the merge check and the singleton rescue with the
+    kernel; emits no counters."""
+    merged_state = _merged_state_fn(model, merge_memo)
+    members: Dict[int, List[str]] = {}
+    ff_of: Dict[int, Optional[str]] = {}
+    states: Dict[int, object] = {}
+    adjacency: Dict[int, Set[int]] = {}
+
+    id_of_node: Dict[str, int] = {}
+    for index, name in enumerate(graph.nodes):
+        id_of_node[name] = index
+        if graph.is_ff[name]:
+            members[index] = []
+            ff_of[index] = name
+        else:
+            members[index] = [name]
+            ff_of[index] = None
+        states[index] = model.initial_state(name, graph.kind,
+                                            graph.is_ff[name])
+    for name, neighbours in graph.adjacency.items():
+        adjacency[id_of_node[name]] = {id_of_node[n] for n in neighbours}
+
+    next_id = len(graph.nodes)
+    rejected = 0
+    merges = 0
+
+    heap: List[Tuple[int, int]] = [
+        (len(neigh), cid) for cid, neigh in adjacency.items() if neigh
+    ]
+    heapq.heapify(heap)
+
+    def push(cid: int) -> None:
+        degree = len(adjacency[cid])
+        if degree:
+            heapq.heappush(heap, (degree, cid))
+
+    while heap:
+        degree, n1 = heapq.heappop(heap)
+        if n1 not in adjacency:
+            continue
+        current = len(adjacency[n1])
+        if current == 0:
+            continue
+        if degree != current:
+            heapq.heappush(heap, (current, n1))
+            continue
+
+        neighbours = adjacency[n1]
+        if len(neighbours) <= 64:
+            n2 = min(neighbours, key=lambda c: (len(adjacency[c]), c))
+        else:
+            sample = heapq.nsmallest(64, neighbours)
+            n2 = min(sample, key=lambda c: (len(adjacency[c]), c))
+
+        merged = merged_state(states[n1], states[n2])
+        if merged is None:
+            rejected += 1
+            adjacency[n1].discard(n2)
+            adjacency[n2].discard(n1)
+            push(n1)
+            push(n2)
+            continue
+
+        merges += 1
+        new_id = next_id
+        next_id += 1
+        common = (adjacency[n1] & adjacency[n2]) - {n1, n2}
+        members[new_id] = members[n1] + members[n2]
+        ff_of[new_id] = ff_of[n1] or ff_of[n2]
+        states[new_id] = merged
+        adjacency[new_id] = set(common)
+
+        for cid in adjacency[n1]:
+            if cid not in (n1, n2):
+                adjacency[cid].discard(n1)
+        for cid in adjacency[n2]:
+            if cid not in (n1, n2):
+                adjacency[cid].discard(n2)
+        for cid in common:
+            adjacency[cid].add(new_id)
+            push(cid)
+        del adjacency[n1], adjacency[n2]
+        del states[n1], states[n2]
+        push(new_id)
+
+    cliques: List[Clique] = []
+    for cid, member_list in members.items():
+        if cid not in adjacency:
+            continue
+        cliques.append(Clique(kind=graph.kind, tsvs=list(member_list),
+                              ff=ff_of[cid], state=states.get(cid)))
+
+    rescued = _absorb_singletons(graph, merged_state, cliques)
+    return CliquePartition(kind=graph.kind, cliques=cliques,
+                           rejected_merges=rejected,
+                           merges=merges + rescued,
+                           singleton_rescues=rescued)
+
+
+def partition_key(partition: CliquePartition) -> tuple:
+    """Everything Algorithm 2 decides, in order: each clique's
+    ``tsvs``, FF and timing-state fields, then the three counters."""
+    cliques = tuple(
+        (tuple(clique.tsvs), clique.ff,
+         None if clique.state is None else _state_key(clique.state))
+        for clique in partition.cliques)
+    return (partition.kind, cliques, partition.merges,
+            partition.rejected_merges, partition.singleton_rescues)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.cli import main
+from repro.cli import _DRIVERS, main
 
 
 class TestCli:
@@ -69,9 +70,9 @@ class TestCli:
         assert main(["table2", "--scale", "smoke", "--timeout", "0"]) == 0
         assert current_config().timeout_s is None
 
-    def test_negative_timeout_exits(self):
-        with pytest.raises(SystemExit):
-            main(["table2", "--scale", "smoke", "--timeout", "-1"])
+    def test_negative_timeout_exits(self, capsys):
+        assert main(["table2", "--scale", "smoke", "--timeout", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("repro: error: ")
 
     def test_session_script(self, tmp_path, capsys):
         script = tmp_path / "edits.eco"
@@ -114,6 +115,9 @@ class TestCli:
         assert "table2" in text and "figure7" in text
 
 
+_KERNELS = "benchmarks/BENCH_kernels.json"
+_MANIFEST = "tests/golden/table3_smoke_manifest.json"
+
 #: bad input -> one ``repro: error:`` line and exit 2; ``{tmp}`` is a
 #: per-test scratch directory, so ``{tmp}/missing.json`` does not exist
 _BAD_INPUTS = {
@@ -138,13 +142,54 @@ _BAD_INPUTS = {
     "fuzz-zero-budget-self-check": ["fuzz", "--self-check",
                                     "--budget", "0"],
     "fuzz-negative-seconds": ["fuzz", "--seconds", "-3"],
+    "fuzz-infinite-seconds": ["fuzz", "--seconds", "inf"],
+    "scale-zero-repeat": ["scale", "--gates", "1000", "--repeat", "0",
+                          "--out", "-"],
+    "scale-nan-density": ["scale", "--gates", "1000",
+                          "--tsv-density", "nan", "--out", "-"],
+    "schedule-zero-tam": ["schedule", "--tam", "0"],
+    "bench-gate-nan-tolerance": ["bench", "gate", _KERNELS,
+                                 "--golden", _KERNELS,
+                                 "--tolerance", "nan"],
+    "bench-gate-negative-tolerance": ["bench", "gate", _KERNELS,
+                                      "--golden", _KERNELS,
+                                      "--tolerance", "-5"],
+    "trace-diff-nan-tolerance": ["trace", "diff", _MANIFEST, _MANIFEST,
+                                 "--tolerance", "nan"],
+    "trace-diff-negative-tolerance": ["trace", "diff", _MANIFEST,
+                                      _MANIFEST, "--tolerance", "-1"],
+    "nan-timeout": ["--timeout", "nan", "table2"],
+    "serve-zero-workers": ["serve", "--state-dir", "{tmp}",
+                           "--serve-workers", "0"],
+    "serve-zero-cap": ["serve", "--state-dir", "{tmp}",
+                       "--cap-normal", "0"],
+    "serve-zero-max-attempts": ["serve", "--state-dir", "{tmp}",
+                                "--max-attempts", "0"],
+    "serve-zero-breaker-threshold": ["serve", "--state-dir", "{tmp}",
+                                     "--breaker-threshold", "0"],
+    "serve-nan-job-timeout": ["serve", "--state-dir", "{tmp}",
+                              "--job-timeout", "nan"],
+    "serve-negative-default-deadline": ["serve", "--state-dir", "{tmp}",
+                                        "--default-deadline", "-1"],
+    "submit-nan-deadline": ["submit", "noop", "--state-dir", "{tmp}",
+                            "--deadline", "nan"],
+    "submit-zero-wait-timeout": ["submit", "noop", "--state-dir", "{tmp}",
+                                 "--wait-timeout", "0"],
 }
+
+
+def _no_work(*_args, **_kwargs):
+    raise AssertionError("bad input reached the work it should refuse")
 
 
 class TestBadInput:
     @pytest.mark.parametrize("argv", list(_BAD_INPUTS.values()),
                              ids=list(_BAD_INPUTS))
-    def test_exits_2_with_one_line_error(self, argv, tmp_path, capsys):
+    def test_exits_2_with_one_line_error(self, argv, tmp_path, capsys,
+                                         monkeypatch):
+        # neither a daemon nor a client may start on bad input
+        monkeypatch.setattr("repro.serve.server.WcmServer", _no_work)
+        monkeypatch.setattr("repro.serve.client.ServeClient", _no_work)
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -180,3 +225,123 @@ class TestSessionInterrupt:
         monkeypatch.setattr(sys, "stdin", _FakeStdin())
         assert main(["session", "b11", "0"]) == 0
         assert "session: b11_die0 loaded" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Every numeric option of every subcommand, fed garbage
+# ---------------------------------------------------------------------------
+#: the smallest valid argv of each subcommand; ``{tmp}`` is a scratch
+#: directory
+_BASE_ARGV = {
+    "die": ["die", "b11", "0"],
+    "profile": ["profile", "b11", "0"],
+    "session": ["session", "b11", "0"],
+    "export": ["export", "{tmp}/results.md"],
+    "scale": ["scale", "--gates", "1000", "--out", "-"],
+    "serve": ["serve", "--state-dir", "{tmp}"],
+    "submit": ["submit", "noop", "--state-dir", "{tmp}"],
+    "jobs": ["jobs", "--state-dir", "{tmp}"],
+    "trace": ["trace", "diff", _MANIFEST, _MANIFEST],
+    "bench": ["bench", "gate", _KERNELS, "--golden", _KERNELS],
+}
+
+#: numeric option (flag, or dest of a positional) -> a number outside
+#: its domain, or None when every number is valid
+_OUT_OF_DOMAIN = {
+    "--seed": None, "--jobs": "-1", "--timeout": "-1", "--retries": "-1",
+    "die": "99",
+    "--budget": "0", "--seconds": "0",
+    "--repeat": "0", "--sta-cap": "-1", "--flow-cap": "-1",
+    "--tam": "0", "--width": "0", "--fixed-patterns": "0",
+    "--serve-workers": "0", "--job-timeout": "0", "--max-attempts": "0",
+    "--breaker-threshold": "0", "--default-deadline": "0",
+    "--cap-interactive": "0", "--cap-normal": "0", "--cap-batch": "0",
+    "--deadline": "0", "--wait-timeout": "0",
+    "--tolerance": "-1",
+}
+
+
+def _numeric_options():
+    """(subcommand, option) for every int/float option the parser has;
+    the runtime options every subcommand shares are listed once."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    def numeric(parser):
+        return [option.option_strings[0] if option.option_strings
+                else option.dest
+                for option in parser._actions
+                if option.type in (int, float)]
+
+    parser = build_parser()
+    shared = numeric(parser)
+    out = [("table2", name) for name in shared]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for command, subparser in action.choices.items():
+                out += [(command, name) for name in numeric(subparser)
+                        if name not in shared]
+    return out
+
+
+_NUMERIC_OPTIONS = _numeric_options()
+
+#: what starts work in each subcommand; none of it may run
+_WORK_ENTRY_POINTS = (
+    "repro.cli._run_driver", "repro.bench.generate_die",
+    "repro.bench.scaling.run_scaling", "repro.schedule.run_schedule",
+    "repro.verify.run_fuzz", "repro.verify.self_check",
+    "repro.serve.server.WcmServer", "repro.serve.client.ServeClient",
+    "repro.runtime.trace.load_manifest", "repro.runtime.trace.gate",
+)
+
+
+class TestNumericArgvFuzz:
+    def test_every_numeric_option_has_a_domain(self):
+        assert _NUMERIC_OPTIONS
+        missing = {name for _command, name in _NUMERIC_OPTIONS
+                   if name not in _OUT_OF_DOMAIN}
+        assert not missing, f"no out-of-domain value for {missing}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(option=st.sampled_from(_NUMERIC_OPTIONS),
+           value=st.sampled_from(["abc", "", "1x", "nan", "inf", "-inf",
+                                  "out-of-domain"]))
+    def test_bad_value_exits_2_before_any_work(self, option, value):
+        import contextlib
+        import io
+        import tempfile
+
+        command, name = option
+        if value == "out-of-domain":
+            value = _OUT_OF_DOMAIN[name]
+            assume(value is not None)
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as patch:
+            for target in _WORK_ENTRY_POINTS:
+                patch.setattr(target, _no_work)
+            patch.setattr("repro.cli._DRIVERS",
+                          {key: _no_work for key in _DRIVERS})
+            argv = [arg.format(tmp=tmp)
+                    for arg in _BASE_ARGV.get(command, [command])]
+            if name.startswith("--"):
+                argv += [name, value]
+            else:
+                argv[argv.index("0")] = value  # the positional die index
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exit_:
+                    code = exit_.code
+            message = err.getvalue()
+        assert code == 2, (argv, message)
+        assert "Traceback" not in message
+        lines = message.splitlines()
+        if lines and lines[0].startswith("usage:"):
+            assert lines[-1].split(": error: ")[0].startswith("repro")
+        else:
+            assert lines == [lines[0]] and lines[0].startswith(
+                "repro: error: "), (argv, message)

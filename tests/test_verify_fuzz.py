@@ -187,6 +187,15 @@ def test_self_check_kills_pair_kernel_mutant():
     assert results[0].evidence.startswith("pair-kernel[")
 
 
+def test_self_check_kills_clique_mutant():
+    """A neighbour sample carried across a merge picks a clique that
+    the merge deleted."""
+    results = self_check(root_seed=0, budget=12, checks=["clique"],
+                         mutant_names=["clique-stale-sample"])
+    assert results[0].killed, results
+    assert results[0].evidence.startswith("clique")
+
+
 def test_self_check_mutants_do_not_leak():
     """After a mutant's context exits, the baseline stream is clean
     again — the monkeypatches restore the real kernels."""
